@@ -16,37 +16,80 @@ INT64_MAX = 2 ** 63 - 1
 
 
 class Value:
-    """A knowledge-base individual: a named entity or a 64-bit integer."""
+    """A knowledge-base individual: a named entity or a 64-bit integer.
+
+    Values are interned: constructing one returns the single object for
+    its id or integer, so hashing and equality are by identity and run at
+    C speed. The intern tables live as long as the process. Pickling and
+    copying go back through the constructor and so give back the same
+    object.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+# One object per entity id and per integer; nothing is ever removed.
+_ENTITIES: dict[str, "Entity"] = {}
+_NUMBERS: dict[int, "Number"] = {}
+
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Entity(Value):
     """A named individual, identified by a non-empty string."""
 
     entity_id: str
 
-    def __post_init__(self):
-        i = self.entity_id
+    def __new__(cls, entity_id: str):
+        try:
+            return _ENTITIES[entity_id]
+        except KeyError:
+            pass
+        i = entity_id
+        if not isinstance(i, str):
+            raise TypeError(f"entity id must be a str, not {type(i).__name__}")
         if not i:
             raise ValueError("entity id must be non-empty")
         if "\t" in i or "\n" in i:
             raise ValueError("entity id must not contain tab or newline")
         if i[0].isdigit() or i[0] == "-":
             raise ValueError(f"entity id cannot start with a digit or minus: {i!r}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "entity_id", str(i))
+        return _ENTITIES.setdefault(self.entity_id, self)
+
+    def __reduce__(self):
+        return (Entity, (self.entity_id,))
 
     def __str__(self):
         return self.entity_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Number(Value):
-    """An integer individual, restricted to the signed 64-bit range."""
+    """An integer individual, restricted to the signed 64-bit range.
+
+    Only a true `int` is accepted: a `bool` or a `float` would otherwise
+    stand for, and print unlike, the interned number it equals.
+    """
 
     n: int
 
-    def __post_init__(self):
-        if not (INT64_MIN <= self.n <= INT64_MAX):
-            raise ValueError(f"integer out of 64-bit range: {self.n}")
+    def __new__(cls, n: int):
+        # Checked before the lookup: True and 5.0 hash like 1 and 5.
+        if type(n) is not int:
+            raise ValueError(f"number must be an int, not {type(n).__name__}: {n!r}")
+        try:
+            return _NUMBERS[n]
+        except KeyError:
+            pass
+        if not (INT64_MIN <= n <= INT64_MAX):
+            raise ValueError(f"integer out of 64-bit range: {n}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        return _NUMBERS.setdefault(n, self)
+
+    def __reduce__(self):
+        return (Number, (self.n,))
 
     def __str__(self):
         return str(self.n)

@@ -3,6 +3,12 @@
 A unary form denotes a set of values, a binary form a set of pairs. Joins
 dispatch through the KB indexes instead of materializing relations, so
 evaluation stays linear in the touched triples.
+
+Binders are where variables come back, and the set definitions would
+rebuild the body's whole set once per entity of the domain. Where the body
+is simple enough (see `_decidable`), `mu` and the `lam` joins instead ask
+whether each candidate is a member (`_contains`), which probes the indexes
+from that candidate and never builds a complement.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .core import (
     Superlative,
     Union,
     Var,
+    value_sort_key,
 )
 from .errors import NonNumericDegree
 from .kb import KnowledgeBase
@@ -40,6 +47,13 @@ def eval_unary(u, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
     if isinstance(u, Join):
         return _join_subjects(u.binary, eval_unary(u.unary, kb, env), kb, env)
     if isinstance(u, Intersect):
+        # A & !B is (A & domain) - B: the complement of B is never built.
+        if isinstance(u.right, Negate):
+            kept = eval_unary(u.left, kb, env) & kb.entity_domain
+            return kept - eval_unary(u.right.inner, kb, env)
+        if isinstance(u.left, Negate):
+            dropped = eval_unary(u.left.inner, kb, env)
+            return (eval_unary(u.right, kb, env) & kb.entity_domain) - dropped
         return eval_unary(u.left, kb, env) & eval_unary(u.right, kb, env)
     if isinstance(u, Union):
         return eval_unary(u.left, kb, env) | eval_unary(u.right, kb, env)
@@ -50,11 +64,83 @@ def eval_unary(u, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
     if isinstance(u, Superlative):
         return _superlative(u, kb, env)
     if isinstance(u, Mu):
+        if _decidable(u.body, {*env.bindings, u.var}):
+            return frozenset(
+                x for x in kb.entity_domain
+                if _contains(x, u.body, kb, env.bind(u.var, x))
+            )
         return frozenset(
             x for x in kb.entity_domain
             if x in eval_unary(u.body, kb, env.bind(u.var, x))
         )
     raise TypeError(f"not a resolved unary form: {u!r}")
+
+
+def _decidable(u, bound) -> bool:
+    """Whether `_contains` decides membership in u exactly.
+
+    It does for forms built from literals, variables named in `bound`,
+    joins through a property or R[...] of one, &, |, ! and mu. Evaluating
+    such a form cannot raise, so testing candidates one at a time gives the
+    same set, and the same errors, as building it.
+    """
+    if isinstance(u, EntityLit):
+        return True
+    if isinstance(u, Var):
+        return u.name in bound
+    if isinstance(u, Join):
+        b = u.binary
+        while isinstance(b, Reverse):
+            b = b.inner
+        return isinstance(b, Property) and _decidable(u.unary, bound)
+    if isinstance(u, (Intersect, Union)):
+        return _decidable(u.left, bound) and _decidable(u.right, bound)
+    if isinstance(u, Negate):
+        return _decidable(u.inner, bound)
+    if isinstance(u, Mu):
+        return _decidable(u.body, bound | {u.var})
+    return False
+
+
+def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
+    """Whether x is in the set u denotes, for a u that `_decidable` accepts.
+
+    Values are interned, so a literal or a variable matches by identity.
+    The most frequent forms are tested first.
+    """
+    if isinstance(u, Join):
+        related = _related(u.binary, x, kb)
+        inner = u.unary
+        if isinstance(inner, EntityLit):
+            return inner.value in related
+        if isinstance(inner, Var):
+            return env.lookup(inner.name) in related
+        for y in related:
+            if _contains(y, inner, kb, env):
+                return True
+        return False
+    if isinstance(u, Union):
+        return _contains(x, u.left, kb, env) or _contains(x, u.right, kb, env)
+    if isinstance(u, Intersect):
+        return _contains(x, u.left, kb, env) and _contains(x, u.right, kb, env)
+    if isinstance(u, Negate):
+        return x in kb.entity_domain and not _contains(x, u.inner, kb, env)
+    if isinstance(u, Var):
+        return x is env.lookup(u.name)
+    if isinstance(u, EntityLit):
+        return x is u.value
+    if isinstance(u, Mu):
+        return x in kb.entity_domain and _contains(x, u.body, kb, env.bind(u.var, x))
+    raise TypeError(f"not a decidable unary form: {u!r}")
+
+
+def _related(b, x, kb: KnowledgeBase) -> frozenset:
+    """{y | (x, y) in b} for a property under any number of R[...]."""
+    forward = True
+    while isinstance(b, Reverse):
+        b = b.inner
+        forward = not forward
+    return kb.objects_of(b.name, x) if forward else kb.subjects_of(b.name, x)
 
 
 def eval_binary(b, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
@@ -101,6 +187,15 @@ def _join_objects(b, subjs: frozenset, kb, env) -> frozenset:
     if isinstance(b, Reverse):
         return _join_subjects(b.inner, subjs, kb, env)
     if isinstance(b, Lambda):
+        # With one subject, a membership test per binding replaces building
+        # the body's set. With more, a test per binding and subject can cost
+        # more than the set, so those keep the set path.
+        if len(subjs) == 1 and _decidable(b.body, {*env.bindings, b.var}):
+            (x,) = subjs
+            return frozenset(
+                y for y in kb.entity_domain
+                if _contains(x, b.body, kb, env.bind(b.var, y))
+            )
         return frozenset(
             y for y in kb.entity_domain
             if eval_unary(b.body, kb, env.bind(b.var, y)) & subjs
@@ -113,25 +208,38 @@ def degree_of(x, b, kb: KnowledgeBase, env: Env = EMPTY_ENV, collapse: str = "ma
 
     An element related to several numbers collapses to the largest (or the
     smallest, with collapse="min"). Any non-numeric related value raises
-    NonNumericDegree.
+    NonNumericDegree, naming the least such value by `value_sort_key`.
     """
-    related = _join_objects(b, frozenset({x}), kb, env)
-    if not related:
+    bad = []
+    d = _degree(_join_objects(b, frozenset({x}), kb, env), collapse, bad)
+    if bad:
+        raise NonNumericDegree(min(bad, key=value_sort_key))
+    return d
+
+
+def _degree(related: frozenset, collapse: str, bad: list):
+    """The collapsed number in `related`, or None; non-numbers go to `bad`."""
+    ns = [v.n for v in related if isinstance(v, Number)]
+    if len(ns) < len(related):
+        bad.extend(v for v in related if not isinstance(v, Number))
         return None
-    for v in related:
-        if not isinstance(v, Number):
-            raise NonNumericDegree(v)
-    ns = [v.n for v in related]
+    if not ns:
+        return None
     return max(ns) if collapse == "max" else min(ns)
 
 
 def _superlative(u: Superlative, kb, env) -> frozenset:
+    # Every degree is computed before any error is raised, so that a
+    # non-numeric degree is reported the same way whatever the set order.
     collapse = "max" if u.op == "argmax" else "min"
     scored = []
+    bad = []
     for x in eval_unary(u.source, kb, env):
-        d = degree_of(x, u.degree, kb, env, collapse)
+        d = _degree(_join_objects(u.degree, frozenset({x}), kb, env), collapse, bad)
         if d is not None:
             scored.append((x, d))
+    if bad:
+        raise NonNumericDegree(min(bad, key=value_sort_key))
     if not scored:
         return frozenset()
     best = max(d for _, d in scored) if u.op == "argmax" else min(d for _, d in scored)

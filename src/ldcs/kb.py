@@ -2,7 +2,8 @@
 
 One triple per line: subject, property, object separated by single tabs.
 Objects may be integer literals; subjects may not. Empty lines and lines
-starting with '#' are skipped. Duplicate triples collapse.
+starting with '#' are skipped. Duplicate triples collapse. Names must be
+ones a query can write: no '.' (the join operator) and no keyword.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .core import Entity, Number, Value, render_value, value_sort_key
 from .errors import BadObject, BadSubject, MalformedLine
+from .parser import KEYWORDS
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:.]*\Z")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
@@ -83,9 +85,21 @@ def _parse_object(token: str, line_number: int) -> Value:
             return Number(int(token))
         except ValueError:
             raise BadObject(line_number, f"integer out of range: {token}") from None
-    if _IDENT_RE.match(token):
+    problem = _name_problem(token, "not an identifier or integer")
+    if problem is None:
         return Entity(token)
-    raise BadObject(line_number, f"not an identifier or integer: {token!r}")
+    raise BadObject(line_number, f"{problem}: {token!r}")
+
+
+def _name_problem(token: str, malformed: str = "not an identifier"):
+    """Why no query could name `token`, or None if one can."""
+    if not _IDENT_RE.match(token):
+        return malformed
+    if "." in token:
+        return "a name cannot contain '.', the join operator"
+    if token in KEYWORDS:
+        return "a name cannot be a keyword"
+    return None
 
 
 def load_kb(source) -> KnowledgeBase:
@@ -105,10 +119,12 @@ def load_kb(source) -> KnowledgeBase:
         subj_tok, prop_tok, obj_tok = fields
         if _INT_RE.match(subj_tok):
             raise BadSubject(line_number, f"subject cannot be a number: {subj_tok}")
-        if not _IDENT_RE.match(subj_tok):
-            raise BadSubject(line_number, f"not an identifier: {subj_tok!r}")
-        if not _IDENT_RE.match(prop_tok):
-            raise MalformedLine(line_number, f"bad property name: {prop_tok!r}")
+        problem = _name_problem(subj_tok)
+        if problem is not None:
+            raise BadSubject(line_number, f"{problem}: {subj_tok!r}")
+        problem = _name_problem(prop_tok, "bad property name")
+        if problem is not None:
+            raise MalformedLine(line_number, f"{problem}: {prop_tok!r}")
         triples.append(
             Triple(Entity(subj_tok), prop_tok, _parse_object(obj_tok, line_number))
         )

@@ -58,6 +58,9 @@ class _OracleEval:
         self.kb = kb
         self.triples = {(t.subject, t.property, t.object) for t in kb.triples}
         self.base = frozenset(kb.entity_domain) | _constants(root)
+        # Exists stops at its first witness: trying candidates in a fixed
+        # order keeps the work independent of set order.
+        self.candidates = tuple(sorted(self.base, key=core.value_sort_key))
         self.rich = self.base | frozenset(t.object for t in kb.triples)
         self._memo: dict = {}
         self._fv: dict = {}
@@ -90,7 +93,7 @@ class _OracleEval:
             key = self._key("ex", t, env)
             if key not in self._memo:
                 self._memo[key] = any(
-                    self.truth(t.body, {**env, t.var: v}) for v in self.base
+                    self.truth(t.body, {**env, t.var: v}) for v in self.candidates
                 )
             return self._memo[key]
         if isinstance(t, lc.In):
@@ -151,19 +154,22 @@ class _OracleEval:
             raise IllTyped("degree of a superlative must take two arguments")
         sv, dv, body = deg.var, deg.body.var, deg.body.body
         scored = []
+        bad = []
         for m in members:
             env2 = {**env, sv: m}
             cands = [
                 v for v in self.rich | self._countable(body, env2)
                 if self.truth(body, {**env2, dv: v})
             ]
-            if not cands:
-                continue
-            for v in cands:
-                if not isinstance(v, core.Number):
-                    raise NonNumericDegree(v)
-            ns = [v.n for v in cands]
-            scored.append((m, max(ns) if t.op == "argmax" else min(ns)))
+            ns = [v.n for v in cands if isinstance(v, core.Number)]
+            if len(ns) < len(cands):
+                bad.extend(v for v in cands if not isinstance(v, core.Number))
+            elif ns:
+                scored.append((m, max(ns) if t.op == "argmax" else min(ns)))
+        # Raised once every member is scored, naming the least non-number,
+        # so that the error does not depend on set order.
+        if bad:
+            raise NonNumericDegree(min(bad, key=core.value_sort_key))
         if not scored:
             self._memo[key] = frozenset()
             return self._memo[key]

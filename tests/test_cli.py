@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from ldcs.cli import main
 
@@ -143,3 +146,19 @@ def test_repl_load(monkeypatch, capsys, tmp_path):
     assert "no KB loaded" in err
     assert "loaded 1 triples" in out
     assert out.endswith("A\n")
+
+
+def test_non_numeric_degree_names_the_same_value_every_run():
+    src = str(pathlib.Path(KB).parent.parent / "src")
+    results = set()
+    for hash_seed in ("1", "2", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ldcs.cli", "eval", "-k", KB,
+             "argmax(Type.USState, Border)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        results.add((proc.returncode, proc.stdout, proc.stderr))
+    assert results == {
+        (2, "", "error: degree produced a non-numeric value: California\n")
+    }

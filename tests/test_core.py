@@ -1,5 +1,9 @@
 """Value types, environments, and the form AST."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from ldcs import (
@@ -46,6 +50,65 @@ def test_number_range():
         Number(2**63)
     with pytest.raises(ValueError):
         Number(-(2**63) - 1)
+
+
+def test_number_accepts_only_int():
+    for bad in (True, False, 5.0, "5", None):
+        with pytest.raises(ValueError):
+            Number(bad)
+    # a bool or a float must not alias the interned 1
+    assert type(Number(1).n) is int
+
+
+def test_values_are_interned():
+    assert Entity("Seattle") is Entity("Seattle")
+    assert Entity(entity_id="Seattle") is Entity("Seattle")
+    assert Number(7) is Number(7)
+    assert Number(2**62) is Number(2**62)
+    assert Entity("A") is not Entity("B")
+    assert repr(Entity("Seattle")) == "Entity(entity_id='Seattle')"
+    assert repr(Number(-7)) == "Number(n=-7)"
+
+
+@pytest.mark.parametrize("value", [Entity("Seattle"), Number(98), Number(-(2**63))])
+def test_interned_values_survive_copies(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) is value
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy([value, {value: value}])[1] == {value: value}
+    assert dataclasses.replace(value) is value
+
+
+def test_replace_gives_the_interned_value():
+    assert dataclasses.replace(Entity("A"), entity_id="B") is Entity("B")
+    assert dataclasses.replace(Number(1), n=2) is Number(2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(Number(1), n=True)
+
+
+def test_values_are_immutable():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Entity("A").entity_id = "B"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Number(1).n = 2
+    assert Entity("A").entity_id == "A" and Number(1).n == 1
+
+
+def test_invalid_values_never_enter_the_table():
+    from ldcs import core
+
+    before = (len(core._ENTITIES), len(core._NUMBERS))
+    for bad in ("", "9lives", "-x", "a\tb", "a\nb"):
+        with pytest.raises(ValueError):
+            Entity(bad)
+    with pytest.raises(TypeError):
+        Entity(5)
+    for bad in (2**63, -(2**63) - 1, True, 1.0):
+        with pytest.raises(ValueError):
+            Number(bad)
+    assert (len(core._ENTITIES), len(core._NUMBERS)) == before
+    assert "9lives" not in core._ENTITIES and 2**63 not in core._NUMBERS
 
 
 def test_values_are_hashable_and_distinct():

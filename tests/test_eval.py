@@ -5,18 +5,30 @@ enumeration semantics; the tests assert both engines to keep it that way.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldcs import (
     EMPTY_ENV,
+    Aggregate,
     Entity,
+    EntityLit,
+    Intersect,
+    Join,
+    Lambda,
+    Mu,
+    Negate,
     NonNumericDegree,
     Number,
     Property,
     Reverse,
+    Triple,
     UnboundVariable,
+    Union,
+    Var,
     degree_of,
     eval_binary,
     eval_unary,
+    from_triples,
     lc_eval,
     parse_unary,
     resolve,
@@ -156,3 +168,119 @@ def test_superlative_ties_are_kept(kb):
 
 def test_superlative_empty_when_no_degrees(kb):
     assert ev("argmax(Type.City, Area)", kb) == frozenset()
+
+
+def test_binder_over_a_superlative_still_raises(kb):
+    # A body the membership test cannot decide keeps the set path and its error.
+    with pytest.raises(NonNumericDegree):
+        ev("(mu x . x | argmax(Type.USState, Border))", kb)
+
+
+def test_intersection_with_a_complement_stays_in_the_domain(kb):
+    assert ev("R[Area].Oregon & !Washington", kb) == frozenset()
+    assert ev("!Washington & R[Area].Oregon", kb) == frozenset()
+    assert ev("Type.USState & !Border.California", kb) == {WA, CA}
+
+
+# --- binders against the set definitions -------------------------------------
+
+_ENTS = [Entity(f"e{i}") for i in range(5)]
+_OBJS = _ENTS + [Number(1), Number(2)]
+
+
+def _naive(u, kb, env):
+    """The set u denotes, straight from the definitions."""
+    if isinstance(u, EntityLit):
+        return {u.value}
+    if isinstance(u, Var):
+        return {env[u.name]}
+    if isinstance(u, Join):
+        inner = _naive(u.unary, kb, env)
+        return {x for x, y in _naive_pairs(u.binary, kb, env) if y in inner}
+    if isinstance(u, Intersect):
+        return _naive(u.left, kb, env) & _naive(u.right, kb, env)
+    if isinstance(u, Union):
+        return _naive(u.left, kb, env) | _naive(u.right, kb, env)
+    if isinstance(u, Negate):
+        return set(kb.entity_domain) - _naive(u.inner, kb, env)
+    if isinstance(u, Aggregate):
+        return {Number(len(_naive(u.inner, kb, env)))}
+    assert isinstance(u, Mu)
+    return {x for x in kb.entity_domain if x in _naive(u.body, kb, {**env, u.var: x})}
+
+
+def _naive_pairs(b, kb, env):
+    if isinstance(b, Property):
+        return {(t.subject, t.object) for t in kb.triples if t.property == b.name}
+    if isinstance(b, Reverse):
+        return {(y, x) for x, y in _naive_pairs(b.inner, kb, env)}
+    return {
+        (x, y) for y in kb.entity_domain for x in _naive(b.body, kb, {**env, b.var: y})
+    }
+
+
+def _unary(draw, depth, scope):
+    kinds = ["leaf"] if depth == 0 else ["leaf", "join", "join", "and", "or", "not",
+                                         "mu", "mu", "count"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        if scope and draw(st.booleans()):
+            return Var(draw(st.sampled_from(scope)))
+        return EntityLit(draw(st.sampled_from(_OBJS)))
+    if kind == "join":
+        return Join(_binary(draw, depth - 1, scope), _unary(draw, depth - 1, scope))
+    if kind in ("and", "or"):
+        op = Intersect if kind == "and" else Union
+        return op(_unary(draw, depth - 1, scope), _unary(draw, depth - 1, scope))
+    if kind == "not":
+        return Negate(_unary(draw, depth - 1, scope))
+    if kind == "count":
+        return Aggregate("count", _unary(draw, depth - 1, scope))
+    var = f"v{len(scope)}"
+    return Mu(var, _unary(draw, depth - 1, scope + (var,)))
+
+
+def _binary(draw, depth, scope):
+    kind = draw(st.sampled_from(["prop", "lam"] if depth else ["prop"]))
+    if kind == "prop":
+        b = Property(draw(st.sampled_from(["p", "q"])))
+    else:
+        var = f"v{len(scope)}"
+        b = Lambda(var, _unary(draw, depth - 1, scope + (var,)))
+    return Reverse(b) if draw(st.booleans()) else b
+
+
+@st.composite
+def _binder_cases(draw):
+    triples = draw(st.sets(
+        st.tuples(st.sampled_from(_ENTS[:4]), st.sampled_from(["p", "q"]),
+                  st.sampled_from(_OBJS)),
+        min_size=3, max_size=12,
+    ))
+    kb = from_triples(Triple(s, p, o) for s, p, o in triples)
+    var = draw(st.sampled_from(["mu", "lam"]))
+    body = _unary(draw, 3, ("v0",))
+    if var == "mu":
+        return kb, Mu("v0", body)
+    lam = Lambda("v0", body)
+    return kb, Join(Reverse(lam) if draw(st.booleans()) else lam, _unary(draw, 2, ()))
+
+
+@pytest.mark.parametrize("text", [
+    "(mu x . Area.!Seattle)",
+    "(mu x . Area.(mu y . y))",
+    "(mu x . Border.!(mu y . Border.y) | x)",
+    "R[(lam y . Area.!y)].Washington",
+    "R[(lam y . R[R[Border]].(y & !Oregon))].California",
+])
+def test_membership_keeps_numbers_out_of_the_domain(text, kb):
+    # Joins reach numbers; a complement or a mu never holds them.
+    u = resolve(parse_unary(text), kb, strict=True)
+    assert eval_unary(u, kb) == _naive(u, kb, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binder_cases())
+def test_binders_match_the_set_definitions(case):
+    kb, u = case
+    assert eval_unary(u, kb) == _naive(u, kb, {})

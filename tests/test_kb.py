@@ -108,3 +108,29 @@ def test_indexes_agree_with_naive_scan():
             bwd = {x.subject for x in triples if x.property == p and x.object == t.object}
             assert kb.objects_of(p, t.subject) == fwd
             assert kb.subjects_of(p, t.object) == bwd
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("a.b\tP\tB\n", BadSubject),
+        ("A\tP\tb.c\n", BadObject),
+        ("A\tp.q\tB\n", MalformedLine),
+        ("count\tP\tB\n", BadSubject),
+        ("A\tP\tmu\n", BadObject),
+        ("A\targmax\tB\n", MalformedLine),
+        ("A\tlam\tB\n", MalformedLine),
+    ],
+)
+def test_names_no_query_can_write_are_refused(text, error):
+    # '.' is the join operator and keywords parse as syntax, so neither
+    # could name what the line loads.
+    with pytest.raises(error) as exc:
+        load_kb("A\tP\tB\n" + text)
+    assert exc.value.line_number == 2
+
+
+def test_names_close_to_keywords_load():
+    kb = load_kb("fb:en\tR\tcounts\nmu_1\targmin2\tLam\n")
+    assert len(kb) == 2
+    assert kb.objects_of("R", Entity("fb:en")) == {Entity("counts")}

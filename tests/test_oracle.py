@@ -1,5 +1,10 @@
 """Brute-force enumeration semantics and the random form generator."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from ldcs import (
@@ -140,3 +145,35 @@ def test_check_report_renders_mismatches(kb):
     text = EquivalenceReport(1, (m,)).render()
     assert "seed=3" in text and "Seattle" in text
     assert text.endswith("trials=1 mismatches=1")
+
+
+_COUNT_TRUTH = """
+import sys
+from ldcs import check_equivalence, load_kb_file, oracle
+calls = 0
+truth = oracle._OracleEval.truth
+def counted(self, t, env):
+    global calls
+    calls += 1
+    return truth(self, t, env)
+oracle._OracleEval.truth = counted
+report = check_equivalence(load_kb_file(sys.argv[1]), 40, max_depth=4, seed=7)
+print(report.ok, calls)
+"""
+
+
+def test_check_work_does_not_follow_set_order():
+    # Set order follows string hashes and, for interned values, addresses;
+    # the oracle tries existential witnesses in value order instead.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    fixture, src = root / "fixtures" / "demo.tsv", str(root / "src")
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_TRUTH, str(fixture)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("True ")
