@@ -2,7 +2,9 @@
 
 A unary form denotes a set of values, a binary form a set of pairs. Joins
 dispatch through the KB indexes instead of materializing relations, so
-evaluation stays linear in the touched triples.
+evaluation stays linear in the touched triples. A join through a property
+reads that property's map once and takes the union of the sets it gives
+the joined values in one C-level call.
 
 Binders are where variables come back, and the set definitions would
 rebuild the body's whole set once per entity of the domain. Where the body
@@ -36,6 +38,8 @@ from .errors import NonNumericDegree
 from .kb import KnowledgeBase
 
 __all__ = ["eval_unary", "eval_binary", "degree_of"]
+
+_EMPTY: frozenset = frozenset()
 
 
 def eval_unary(u, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
@@ -109,7 +113,7 @@ def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
     The most frequent forms are tested first.
     """
     if isinstance(u, Join):
-        related = _related(u.binary, x, kb)
+        related = _pairs(u.binary, kb).get(x, _EMPTY)
         inner = u.unary
         if isinstance(inner, EntityLit):
             return inner.value in related
@@ -134,20 +138,31 @@ def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
     raise TypeError(f"not a decidable unary form: {u!r}")
 
 
-def _related(b, x, kb: KnowledgeBase) -> frozenset:
-    """{y | (x, y) in b} for a property under any number of R[...]."""
-    forward = True
+def _pairs(b, kb: KnowledgeBase, forward: bool = True):
+    """The map {x: {y | (x, y) in b}} of a property under any number of
+    R[...] (of its reverse when not `forward`), or None for any other b.
+    Its sets are never empty."""
     while isinstance(b, Reverse):
         b = b.inner
         forward = not forward
-    return kb.objects_of(b.name, x) if forward else kb.subjects_of(b.name, x)
+    if not isinstance(b, Property):
+        return None
+    return (kb.forward if forward else kb.backward).get(b.name, {})
+
+
+def _image(pairs, xs: frozenset) -> frozenset:
+    """{y | some x in xs has y in pairs[x]}"""
+    if len(xs) == 1:
+        (x,) = xs
+        return pairs.get(x, _EMPTY)
+    return _EMPTY.union(*filter(None, map(pairs.get, xs)))
 
 
 def eval_binary(b, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
     """The set of (subject, object) pairs denoted by b."""
     if isinstance(b, Property):
         return frozenset(
-            (t.subject, t.object) for t in kb.triples if t.property == b.name
+            (x, y) for x, ys in kb.forward.get(b.name, {}).items() for y in ys
         )
     if isinstance(b, Reverse):
         return frozenset((y, x) for x, y in eval_binary(b.inner, kb, env))
@@ -162,11 +177,9 @@ def eval_binary(b, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
 
 def _join_subjects(b, objs: frozenset, kb, env) -> frozenset:
     """{x | some y in objs has (x, y) in b}"""
-    if isinstance(b, Property):
-        out = set()
-        for y in objs:
-            out |= kb.subjects_of(b.name, y)
-        return frozenset(out)
+    pairs = _pairs(b, kb, forward=False)
+    if pairs is not None:
+        return _image(pairs, objs)
     if isinstance(b, Reverse):
         return _join_objects(b.inner, objs, kb, env)
     if isinstance(b, Lambda):
@@ -179,11 +192,9 @@ def _join_subjects(b, objs: frozenset, kb, env) -> frozenset:
 
 def _join_objects(b, subjs: frozenset, kb, env) -> frozenset:
     """{y | some x in subjs has (x, y) in b}"""
-    if isinstance(b, Property):
-        out = set()
-        for x in subjs:
-            out |= kb.objects_of(b.name, x)
-        return frozenset(out)
+    pairs = _pairs(b, kb)
+    if pairs is not None:
+        return _image(pairs, subjs)
     if isinstance(b, Reverse):
         return _join_subjects(b.inner, subjs, kb, env)
     if isinstance(b, Lambda):
@@ -219,6 +230,12 @@ def degree_of(x, b, kb: KnowledgeBase, env: Env = EMPTY_ENV, collapse: str = "ma
 
 def _degree(related: frozenset, collapse: str, bad: list):
     """The collapsed number in `related`, or None; non-numbers go to `bad`."""
+    if len(related) == 1:
+        (v,) = related
+        if isinstance(v, Number):
+            return v.n
+        bad.append(v)
+        return None
     ns = [v.n for v in related if isinstance(v, Number)]
     if len(ns) < len(related):
         bad.extend(v for v in related if not isinstance(v, Number))
@@ -231,16 +248,24 @@ def _degree(related: frozenset, collapse: str, bad: list):
 def _superlative(u: Superlative, kb, env) -> frozenset:
     # Every degree is computed before any error is raised, so that a
     # non-numeric degree is reported the same way whatever the set order.
+    # A degree through a property is read from that property's map.
     collapse = "max" if u.op == "argmax" else "min"
-    scored = []
-    bad = []
-    for x in eval_unary(u.source, kb, env):
-        d = _degree(_join_objects(u.degree, frozenset({x}), kb, env), collapse, bad)
-        if d is not None:
-            scored.append((x, d))
+    source = eval_unary(u.source, kb, env)
+    pairs = _pairs(u.degree, kb)
+    if pairs is None:
+        related = [_join_objects(u.degree, frozenset({x}), kb, env) for x in source]
+    else:
+        related = map(pairs.get, source)
+    xs, ds, bad = [], [], []
+    for x, ys in zip(source, related):
+        if ys:
+            d = _degree(ys, collapse, bad)
+            if d is not None:
+                xs.append(x)
+                ds.append(d)
     if bad:
         raise NonNumericDegree(min(bad, key=value_sort_key))
-    if not scored:
-        return frozenset()
-    best = max(d for _, d in scored) if u.op == "argmax" else min(d for _, d in scored)
-    return frozenset(x for x, d in scored if d == best)
+    if not ds:
+        return _EMPTY
+    best = max(ds) if collapse == "max" else min(ds)
+    return frozenset(x for x, d in zip(xs, ds) if d == best)

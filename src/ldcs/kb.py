@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import io
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .core import Entity, Number, Value, render_value, value_sort_key
 from .errors import BadObject, BadSubject, MalformedLine
@@ -20,63 +22,101 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:.]*\Z")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Value
-    property: str
-    object: Value
+class Triple(namedtuple("Triple", "subject property object")):
+    """One (subject, property, object) fact, checked to have an entity as
+    its subject. It is a tuple, so it hashes and compares as one, at C
+    speed, and its fields cannot be assigned."""
 
-    def __post_init__(self):
-        if not isinstance(self.subject, Entity):
+    __slots__ = ()
+
+    def __new__(cls, subject: Value, property: str, object: Value):
+        if not isinstance(subject, Entity):
             raise ValueError("triple subjects must be entities")
+        return tuple.__new__(cls, (subject, property, object))
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` goes through here: keep the check
+        return cls(*iterable)
 
 
-def _index_key(t: Triple):
-    return (render_value(t.subject), t.property, value_sort_key(t.object))
+def _index_key(t):
+    s, p, o = t
+    return (render_value(s), p, value_sort_key(o))
+
+
+_NO_VALUES: frozenset = frozenset()
+_NO_PAIRS = MappingProxyType({})
 
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """An immutable triple set with lookup indexes over both directions."""
+    """An immutable triple set with lookup indexes over both directions.
+
+    `forward[p][s]` is the set of objects o with (s, p, o) in the KB and
+    `backward[p][o]` the set of subjects; every set in them is non-empty.
+    """
 
     triples: frozenset[Triple]
-    forward: dict[tuple[str, Value], frozenset[Value]] = field(repr=False)
-    backward: dict[tuple[str, Value], frozenset[Value]] = field(repr=False)
+    forward: dict[str, dict[Value, frozenset[Value]]] = field(repr=False)
+    backward: dict[str, dict[Value, frozenset[Value]]] = field(repr=False)
     entity_domain: frozenset[Value]
     property_set: frozenset[str]
 
     def objects_of(self, prop: str, subject: Value) -> frozenset[Value]:
         """All o with (subject, prop, o) in the KB; empty for unknown props."""
-        return self.forward.get((prop, subject), frozenset())
+        return self.forward.get(prop, _NO_PAIRS).get(subject, _NO_VALUES)
 
     def subjects_of(self, prop: str, obj: Value) -> frozenset[Value]:
         """All s with (s, prop, obj) in the KB; empty for unknown props."""
-        return self.backward.get((prop, obj), frozenset())
+        return self.backward.get(prop, _NO_PAIRS).get(obj, _NO_VALUES)
 
     def __len__(self):
         return len(self.triples)
 
 
 def from_triples(triples) -> KnowledgeBase:
+    """A KB of `Triple`s, or of (subject, property, object) tuples whose
+    subjects are entities."""
     tset = frozenset(triples)
-    forward: dict[tuple[str, Value], set[Value]] = {}
-    backward: dict[tuple[str, Value], set[Value]] = {}
-    domain: set[Value] = set()
-    props: set[str] = set()
+    by_property: dict[str, list] = {}
     for t in tset:
-        forward.setdefault((t.property, t.subject), set()).add(t.object)
-        backward.setdefault((t.property, t.object), set()).add(t.subject)
-        props.add(t.property)
-        domain.add(t.subject)
-        if isinstance(t.object, Entity):
-            domain.add(t.object)
+        by_property.setdefault(t[1], []).append(t)
+    forward = {p: _group((s, o) for s, _, o in ts) for p, ts in by_property.items()}
+    backward = {p: _group((o, s) for s, _, o in ts) for p, ts in by_property.items()}
+    domain = set().union(*forward.values())
+    domain.update(o for objs in backward.values() for o in objs if isinstance(o, Entity))
     return KnowledgeBase(
         triples=tset,
-        forward={k: frozenset(v) for k, v in forward.items()},
-        backward={k: frozenset(v) for k, v in backward.items()},
+        forward=forward,
+        backward=backward,
         entity_domain=frozenset(domain),
-        property_set=frozenset(props),
+        property_set=frozenset(forward),
     )
+
+
+def _group(pairs) -> dict:
+    """{k: frozenset of the v paired with k} for distinct (k, v) pairs."""
+    # A group holds its first value bare and becomes a list at its second:
+    # most groups have one value, and a list for each would be as many
+    # more objects for the cyclic garbage collector to scan while loading.
+    groups: dict = {}
+    for k, v in pairs:
+        got = groups.setdefault(k, v)
+        if got is not v:
+            if type(got) is list:
+                got.append(v)
+            else:
+                groups[k] = [got, v]
+    return {k: frozenset(v) if type(v) is list else frozenset((v,)) for k, v in groups.items()}
+
+
+def _parse_subject(token: str, line_number: int) -> Entity:
+    if _INT_RE.match(token):
+        raise BadSubject(line_number, f"subject cannot be a number: {token}")
+    problem = _name_problem(token)
+    if problem is not None:
+        raise BadSubject(line_number, f"{problem}: {token!r}")
+    return Entity(token)
 
 
 def _parse_object(token: str, line_number: int) -> Value:
@@ -91,6 +131,13 @@ def _parse_object(token: str, line_number: int) -> Value:
     raise BadObject(line_number, f"{problem}: {token!r}")
 
 
+def _parse_property(token: str, line_number: int) -> str:
+    problem = _name_problem(token, "bad property name")
+    if problem is not None:
+        raise MalformedLine(line_number, f"{problem}: {token!r}")
+    return token
+
+
 def _name_problem(token: str, malformed: str = "not an identifier"):
     """Why no query could name `token`, or None if one can."""
     if not _IDENT_RE.match(token):
@@ -103,13 +150,21 @@ def _name_problem(token: str, malformed: str = "not an identifier"):
 
 
 def load_kb(source) -> KnowledgeBase:
-    """Load a knowledge base from a string or a readable text stream."""
+    """Load a knowledge base from a string or a readable text stream.
+
+    Each distinct token is checked once, at its first line; the triples
+    are then built from checked values without checking them again.
+    """
     if isinstance(source, str):
         source = io.StringIO(source)
+    subjects: dict[str, Entity] = {}
+    props: dict[str, str] = {}
+    objects: dict[str, Value] = {}
     triples = []
     for line_number, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) != 3:
@@ -117,17 +172,16 @@ def load_kb(source) -> KnowledgeBase:
                 line_number, f"expected 3 tab-separated fields, got {len(fields)}"
             )
         subj_tok, prop_tok, obj_tok = fields
-        if _INT_RE.match(subj_tok):
-            raise BadSubject(line_number, f"subject cannot be a number: {subj_tok}")
-        problem = _name_problem(subj_tok)
-        if problem is not None:
-            raise BadSubject(line_number, f"{problem}: {subj_tok!r}")
-        problem = _name_problem(prop_tok, "bad property name")
-        if problem is not None:
-            raise MalformedLine(line_number, f"{problem}: {prop_tok!r}")
-        triples.append(
-            Triple(Entity(subj_tok), prop_tok, _parse_object(obj_tok, line_number))
-        )
+        s = subjects.get(subj_tok)
+        if s is None:
+            s = subjects[subj_tok] = _parse_subject(subj_tok, line_number)
+        p = props.get(prop_tok)
+        if p is None:
+            p = props[prop_tok] = _parse_property(prop_tok, line_number)
+        o = objects.get(obj_tok)
+        if o is None:
+            o = objects[obj_tok] = _parse_object(obj_tok, line_number)
+        triples.append(tuple.__new__(Triple, (s, p, o)))
     return from_triples(triples)
 
 
@@ -139,6 +193,6 @@ def load_kb_file(path) -> KnowledgeBase:
 def dump_kb(kb: KnowledgeBase) -> str:
     """Serialize deterministically; load_kb(dump_kb(kb)) reproduces kb."""
     lines = []
-    for t in sorted(kb.triples, key=_index_key):
-        lines.append(f"{render_value(t.subject)}\t{t.property}\t{render_value(t.object)}")
+    for s, p, o in sorted(kb.triples, key=_index_key):
+        lines.append(f"{render_value(s)}\t{p}\t{render_value(o)}")
     return "".join(line + "\n" for line in lines)

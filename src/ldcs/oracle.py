@@ -56,12 +56,12 @@ class _OracleEval:
 
     def __init__(self, root: lc.LCTerm, kb: KnowledgeBase):
         self.kb = kb
-        self.triples = {(t.subject, t.property, t.object) for t in kb.triples}
+        self.triples = kb.triples
         self.base = frozenset(kb.entity_domain) | _constants(root)
         # Exists stops at its first witness: trying candidates in a fixed
         # order keeps the work independent of set order.
         self.candidates = tuple(sorted(self.base, key=core.value_sort_key))
-        self.rich = self.base | frozenset(t.object for t in kb.triples)
+        self.rich = self.base.union(*kb.backward.values())
         self._memo: dict = {}
         self._fv: dict = {}
         self._counts: dict = {}
@@ -283,16 +283,14 @@ class GenSchema:
 
     @staticmethod
     def from_kb(kb: KnowledgeBase) -> "GenSchema":
-        objs: dict = {}
-        for t in kb.triples:
-            objs.setdefault(t.property, []).append(t.object)
+        objects = kb.backward  # each property's map is keyed by its objects
         entity_valued = tuple(
-            p for p in sorted(objs)
-            if all(isinstance(o, core.Entity) for o in objs[p])
+            p for p in sorted(objects)
+            if all(isinstance(o, core.Entity) for o in objects[p])
         )
         number_valued = tuple(
-            p for p in sorted(objs)
-            if all(isinstance(o, core.Number) for o in objs[p])
+            p for p in sorted(objects)
+            if all(isinstance(o, core.Number) for o in objects[p])
         )
         return GenSchema(
             entities=tuple(sorted(kb.entity_domain, key=core.value_sort_key)),

@@ -17,6 +17,12 @@ join chain; identifiers themselves cannot contain dots in expression text.
 Parsing produces a raw tree whose leaves are Unresolved names; `resolve`
 classifies each leaf as a variable, entity, or property from its position
 and the binders in scope.
+
+Nesting is limited to MAX_DEPTH levels. Each `!`, join, parenthesis,
+binder, `R[`, `count(`, `argmax(` and `argmin(` opens one level; `&` and
+`|` open none. Deeper text raises ParseError at the token that opens the
+first level too many, where it would otherwise exhaust Python's recursion
+limit in the parser or in the tree walks that follow it.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ from .errors import (
 )
 
 KEYWORDS = {"mu", "lam", "count", "argmax", "argmin"}
+
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,7 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -156,6 +165,13 @@ class _Parser:
                 raise UnbalancedDelimiter(tok.pos, what)
             raise ParseError(tok.pos, what)
         return self.advance()
+
+    def nest(self, tok: Token) -> None:
+        """Enter the level of nesting that `tok` opens; the caller leaves it
+        by decrementing `depth`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(tok.pos, f"at most {MAX_DEPTH} levels of nesting")
 
     def parse(self) -> UnaryForm:
         u = self.union()
@@ -181,13 +197,18 @@ class _Parser:
     def uatom(self) -> UnaryForm:
         tok = self.peek()
         if tok.kind == "BANG":
+            self.nest(tok)
             self.advance()
-            return Negate(self.uatom())
-        if self._binary_ahead():
+            u = Negate(self.uatom())
+        elif self._binary_ahead():
+            self.nest(tok)
             b = self.binary()
             self.expect("DOT", "'.' after a binary form")
-            return Join(b, self.uatom())
-        return self.primary()
+            u = Join(b, self.uatom())
+        else:
+            return self.primary()
+        self.depth -= 1
+        return u
 
     def _binary_ahead(self) -> bool:
         tok = self.peek()
@@ -203,18 +224,22 @@ class _Parser:
     def binary(self) -> BinaryForm:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.text == "R" and self.peek(1).kind == "LBRACKET":
+            self.nest(tok)
             self.advance()
             self.advance()
             inner = self.binary()
             self.expect("RBRACKET", "']' closing R[")
+            self.depth -= 1
             return Reverse(inner)
         if tok.kind == "LPAREN" and self.peek(1).kind == "IDENT" and self.peek(1).text == "lam":
+            self.nest(tok)
             self.advance()
             self.advance()
             name = self.binder_name()
             self.expect("DOT", "'.' after lam binder")
             body = self.union()
             self.expect("RPAREN", "')' closing lam")
+            self.depth -= 1
             return Lambda(name, body)
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
             self.advance()
@@ -237,41 +262,50 @@ class _Parser:
             return EntityLit(Number(n))
         if tok.kind == "IDENT":
             if tok.text == "count":
+                self.nest(tok)
                 self.advance()
                 self.expect("LPAREN", "'(' after count")
                 inner = self.union()
                 self.expect("RPAREN", "')' closing count")
+                self.depth -= 1
                 return Aggregate("count", inner)
             if tok.text in ("argmax", "argmin"):
+                self.nest(tok)
                 self.advance()
                 self.expect("LPAREN", f"'(' after {tok.text}")
                 source = self.union()
                 self.expect("COMMA", "',' between superlative arguments")
                 degree = self.binary()
                 self.expect("RPAREN", f"')' closing {tok.text}")
+                self.depth -= 1
                 return Superlative(tok.text, source, degree)
             if tok.text in KEYWORDS:
                 raise ParseError(tok.pos, f"a unary form (found keyword {tok.text!r})")
             self.advance()
             return UnresolvedUnary(tok.text)
         if tok.kind == "LPAREN":
+            self.nest(tok)
             if self.peek(1).kind == "IDENT" and self.peek(1).text == "mu":
                 self.advance()
                 self.advance()
                 name = self.binder_name()
                 self.expect("DOT", "'.' after mu binder")
-                body = self.union()
+                u = Mu(name, self.union())
                 self.expect("RPAREN", "')' closing mu")
-                return Mu(name, body)
-            self.advance()
-            inner = self.union()
-            self.expect("RPAREN", "')'")
-            return inner
+            else:
+                self.advance()
+                u = self.union()
+                self.expect("RPAREN", "')'")
+            self.depth -= 1
+            return u
         raise ParseError(tok.pos, "a unary form")
 
 
 def parse_unary(text: str) -> UnaryForm:
-    """Parse expression text into a raw tree with Unresolved leaves."""
+    """Parse expression text into a raw tree with Unresolved leaves.
+
+    Raises ParseError past MAX_DEPTH levels of nesting.
+    """
     return _Parser(_lex(text)).parse()
 
 

@@ -7,7 +7,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from ldcs import ParseError, parse_unary
 from ldcs.cli import main
+from ldcs.parser import MAX_DEPTH
 
 KB = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "demo.tsv")
 
@@ -162,3 +166,64 @@ def test_non_numeric_degree_names_the_same_value_every_run():
     assert results == {
         (2, "", "error: degree produced a non-numeric value: California\n")
     }
+
+
+# --- deep nesting -------------------------------------------------------------
+
+def _nested(kind, n):
+    """A form whose `kind` construct is nested n levels deep."""
+    if kind == "!":
+        return "!" * n + "Seattle"
+    if kind == "(":
+        return "(" * n + "Seattle" + ")" * n
+    if kind == "mu":
+        return "".join(f"(mu x{i} . " for i in range(n)) + "Seattle" + ")" * n
+    if kind == "join":
+        return "Type." * n + "City"
+    if kind == "R[":
+        # The join itself is the first level.
+        return "R[" * (n - 1) + "Type" + "]" * (n - 1) + ".City"
+    if kind == "count":
+        return "count(" * n + "Seattle" + ")" * n
+    assert kind == "argmax"
+    return "argmax(" * n + "Seattle" + ", Area)" * n
+
+
+def _command(cmd, text):
+    return ["eval", "-k", KB, text] if cmd == "eval" else [cmd, text]
+
+
+# Outside the SPARQL subset at any depth: a bare negation, mu, and count or
+# a superlative below the root.
+_NO_SPARQL = {"!", "mu", "count", "argmax"}
+
+
+@pytest.mark.parametrize("cmd", ["eval", "lc", "sparql"])
+@pytest.mark.parametrize("kind", ["!", "(", "mu", "join", "R[", "count", "argmax"])
+def test_nesting_at_the_limit_is_accepted(capsys, cmd, kind):
+    code, out, err = run(capsys, *_command(cmd, _nested(kind, MAX_DEPTH)))
+    assert "Traceback" not in err
+    if cmd == "sparql" and kind in _NO_SPARQL:
+        assert code == 3 and "cannot compile" in err
+    else:
+        assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("cmd", ["eval", "lc", "sparql"])
+@pytest.mark.parametrize("kind", ["!", "(", "mu", "join", "R[", "count", "argmax"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+def test_nesting_past_the_limit_is_a_parse_error(capsys, cmd, kind, depth):
+    code, out, err = run(capsys, *_command(cmd, _nested(kind, depth)))
+    assert code == 1 and out == ""
+    assert err.startswith("error: at ") and f"at most {MAX_DEPTH} levels" in err
+    assert "Traceback" not in err
+
+
+def test_nesting_limit_points_at_the_first_level_too_many():
+    with pytest.raises(ParseError) as exc:
+        parse_unary("!" * (MAX_DEPTH + 5) + "Seattle")
+    assert exc.value.position == MAX_DEPTH
+    # Each level closes where its construct ends, and & and | open none, so
+    # a long flat form of shallow parts stays within the limit.
+    part = "!Type.(Seattle) & count(R[Type].City) | argmax((mu x . x), (lam y . y))"
+    assert parse_unary(" | ".join([part] * MAX_DEPTH))

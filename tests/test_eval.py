@@ -21,6 +21,7 @@ from ldcs import (
     Number,
     Property,
     Reverse,
+    Superlative,
     Triple,
     UnboundVariable,
     Union,
@@ -33,6 +34,7 @@ from ldcs import (
     parse_unary,
     resolve,
     to_lc_unary,
+    value_sort_key,
 )
 
 A, B, C, D, E = (Entity(n) for n in ["Alice", "Bob", "Carol", "Dave", "Eve"])
@@ -128,6 +130,12 @@ def test_eval_binary_property(kb):
     assert eval_binary(Reverse(Property("Border")), kb) == {
         (y, x) for x, y in pairs
     }
+    for name in sorted(kb.property_set):
+        scan = {(s, o) for s, p, o in kb.triples if p == name}
+        assert eval_binary(Property(name), kb) == scan
+        assert eval_binary(Reverse(Property(name)), kb) == {(o, s) for s, o in scan}
+    assert eval_binary(Property("Nope"), kb) == frozenset()
+    assert eval_binary(Reverse(Property("Nope")), kb) == frozenset()
 
 
 def test_eval_binary_lambda_pairs(kb):
@@ -205,8 +213,24 @@ def _naive(u, kb, env):
         return set(kb.entity_domain) - _naive(u.inner, kb, env)
     if isinstance(u, Aggregate):
         return {Number(len(_naive(u.inner, kb, env)))}
+    if isinstance(u, Superlative):
+        return _naive_superlative(u, kb, env)
     assert isinstance(u, Mu)
     return {x for x in kb.entity_domain if x in _naive(u.body, kb, {**env, u.var: x})}
+
+
+def _naive_superlative(u, kb, env):
+    pick = max if u.op == "argmax" else min
+    pairs = _naive_pairs(u.degree, kb, env)
+    related = {x: {y for a, y in pairs if a == x} for x in _naive(u.source, kb, env)}
+    bad = {y for ys in related.values() for y in ys if not isinstance(y, Number)}
+    if bad:
+        raise NonNumericDegree(min(bad, key=value_sort_key))
+    degrees = {x: pick(y.n for y in ys) for x, ys in related.items() if ys}
+    if not degrees:
+        return set()
+    best = pick(degrees.values())
+    return {x for x, d in degrees.items() if d == best}
 
 
 def _naive_pairs(b, kb, env):
@@ -284,3 +308,84 @@ def test_membership_keeps_numbers_out_of_the_domain(text, kb):
 def test_binders_match_the_set_definitions(case):
     kb, u = case
     assert eval_unary(u, kb) == _naive(u, kb, {})
+
+
+# --- joins and superlatives against the set definitions ----------------------
+# "n" relates entities to numbers only (some to none, some to two), "e" to
+# entities only, and "p" to both; "unknown" is in no KB.
+
+_NUMS = [Number(i) for i in range(-1, 3)]
+
+
+def _values(draw, pool, least=0):
+    """A form denoting a set of `least` or more values from `pool`."""
+    values = draw(st.lists(st.sampled_from(pool), min_size=least, max_size=4, unique=True))
+    if not values:
+        return Intersect(EntityLit(_ENTS[0]), EntityLit(_ENTS[1]))
+    u = EntityLit(values[0])
+    for v in values[1:]:
+        u = Union(u, EntityLit(v))
+    return u
+
+
+def _plain_unary(draw, depth):
+    kinds = ["set"] if depth == 0 else ["set", "join", "join", "join", "and", "or",
+                                        "not", "count", "sup"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "set":
+        return _values(draw, _OBJS)
+    if kind == "join":
+        b = Property(draw(st.sampled_from(["p", "e", "n", "unknown"])))
+        for _ in range(draw(st.integers(0, 2))):
+            b = Reverse(b)
+        return Join(b, _plain_unary(draw, depth - 1))
+    if kind in ("and", "or"):
+        op = Intersect if kind == "and" else Union
+        return op(_plain_unary(draw, depth - 1), _plain_unary(draw, depth - 1))
+    if kind == "not":
+        return Negate(_plain_unary(draw, depth - 1))
+    if kind == "count":
+        return Aggregate("count", _plain_unary(draw, depth - 1))
+    return _superlative(draw, depth - 1)
+
+
+def _superlative(draw, depth):
+    op = draw(st.sampled_from(["argmax", "argmin"]))
+    degree = Property(draw(st.sampled_from(["n", "n", "e", "p", "unknown"])))
+    if draw(st.booleans()):
+        degree = Reverse(Reverse(degree))
+    if draw(st.booleans()):
+        source = _values(draw, _ENTS, least=1)
+    else:
+        source = _plain_unary(draw, depth)
+    return Superlative(op, source, degree)
+
+
+_FACTS = [
+    Triple(s, p, o)
+    for p, objects in [("e", _ENTS), ("n", _NUMS), ("p", _OBJS)]
+    for s in _ENTS
+    for o in objects
+]
+
+
+@st.composite
+def _plain_cases(draw):
+    kb = from_triples(draw(st.sets(st.sampled_from(_FACTS), min_size=4, max_size=20)))
+    if draw(st.booleans()):
+        return kb, _superlative(draw, 2)
+    return kb, _plain_unary(draw, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plain_cases())
+def test_joins_and_superlatives_match_the_set_definitions(case):
+    kb, u = case
+    try:
+        expected = _naive(u, kb, {})
+    except NonNumericDegree as exc:
+        with pytest.raises(NonNumericDegree) as got:
+            eval_unary(u, kb)
+        assert got.value.value is exc.value
+    else:
+        assert eval_unary(u, kb) == expected

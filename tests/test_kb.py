@@ -80,6 +80,18 @@ def test_bad_subject_and_object():
 def test_triple_subject_must_be_entity():
     with pytest.raises(ValueError):
         Triple(Number(1), "P", Entity("B"))
+    with pytest.raises(ValueError):
+        Triple(Entity("A"), "P", Entity("B"))._replace(subject=Number(1))
+
+
+def test_triple_is_an_immutable_tuple():
+    t = Triple(Entity("A"), "P", Number(3))
+    assert t == (Entity("A"), "P", Number(3))
+    assert hash(t) == hash((Entity("A"), "P", Number(3)))
+    assert (t.subject, t.property, t.object) == tuple(t)
+    for name in ("subject", "property", "object", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, Entity("C"))
 
 
 def test_dump_is_sorted_and_loads_back(kb):
@@ -89,6 +101,16 @@ def test_dump_is_sorted_and_loads_back(kb):
     again = load_kb(text)
     assert again.triples == kb.triples
     assert dump_kb(again) == text
+    mixed = from_triples([
+        Triple(Entity("A"), "P", Entity("B")),
+        Triple(Entity("A"), "P", Number(-3)),
+        Triple(Entity("B"), "Q", Number(2**63 - 1)),
+        Triple(Entity("B"), "Q", Entity("A")),
+    ])
+    again = load_kb(dump_kb(mixed))
+    assert again.triples == mixed.triples
+    assert again.forward == mixed.forward and again.backward == mixed.backward
+    assert again.entity_domain == {Entity("A"), Entity("B")}
 
 
 def test_indexes_agree_with_naive_scan():
@@ -102,12 +124,18 @@ def test_indexes_agree_with_naive_scan():
         o = Number(rng.randrange(5)) if rng.random() < 0.3 else Entity(rng.choice(entities))
         triples.add(Triple(s, p, o))
     kb = from_triples(triples)
-    for p in props:
-        for t in triples:
-            fwd = {x.object for x in triples if x.property == p and x.subject == t.subject}
-            bwd = {x.subject for x in triples if x.property == p and x.object == t.object}
-            assert kb.objects_of(p, t.subject) == fwd
-            assert kb.subjects_of(p, t.object) == bwd
+    values = {Entity(e) for e in entities + ["unseen"]} | {Number(n) for n in range(-1, 6)}
+    for p in props + ["unknown"]:
+        for v in values:
+            fwd = {x.object for x in triples if x.property == p and x.subject == v}
+            bwd = {x.subject for x in triples if x.property == p and x.object == v}
+            assert kb.objects_of(p, v) == fwd
+            assert kb.subjects_of(p, v) == bwd
+            assert type(kb.objects_of(p, v)) is frozenset
+            assert type(kb.subjects_of(p, v)) is frozenset
+    assert kb.property_set == {t.property for t in triples}
+    assert kb.entity_domain == {x for t in triples for x in (t.subject, t.object)
+                                if isinstance(x, Entity)}
 
 
 @pytest.mark.parametrize(
