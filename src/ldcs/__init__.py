@@ -8,6 +8,8 @@ semantics can be checked against each other; `compile_sparql` renders
 the database-friendly subset as a query.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Aggregate,
     EntityLit,
@@ -64,24 +66,9 @@ from .sparql import compile_sparql
 
 __version__ = "0.1.0"
 
+# The public names are the ones imported above, stated there once.
 __all__ = [
-    "Aggregate", "EntityLit", "Entity", "Env", "EMPTY_ENV", "Intersect",
-    "Join", "Lambda", "Mu", "Negate", "Number", "Property", "Reverse",
-    "Superlative", "Union", "Var", "free_vars", "render_value",
-    "value_sort_key",
-    "fresh_var", "simplify", "to_lc_binary", "to_lc_unary",
-    "BadObject", "BadSubject", "EvalError", "IllTyped", "KbFormatError",
-    "LdcsError", "MalformedLine", "NonNumericDegree", "ParseError",
-    "ResolveError", "ShadowedVariable", "UnbalancedDelimiter",
-    "UnboundVariable", "UnknownProperty", "UnsupportedConstruct",
-    "VariableInBinaryPosition",
-    "degree_of", "eval_binary", "eval_unary",
-    "KnowledgeBase", "Triple", "dump_kb", "from_triples", "load_kb",
-    "load_kb_file",
-    "alpha_eq", "format_lc", "parse_lc", "well_formed",
-    "EquivalenceReport", "GenSchema", "Mismatch", "check_equivalence",
-    "gen_term", "lc_eval",
-    "format_binary", "format_unary", "parse_unary", "resolve",
-    "compile_sparql",
-    "__version__",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
+__all__.append("__version__")

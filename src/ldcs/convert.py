@@ -9,6 +9,8 @@ bureaucratic quantifiers without changing the denotation.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import core, lc
 from .errors import UnboundVariable
 
@@ -28,37 +30,13 @@ def fresh_var(hint: str, used) -> str:
 def _identifiers(form) -> set[str]:
     """Every name occurring in a form; seeds the fresh-name pool."""
     out: set[str] = set()
-
-    def walk(f) -> None:
-        if isinstance(f, core.EntityLit):
-            if isinstance(f.value, core.Entity):
-                out.add(f.value.entity_id)
-        elif isinstance(f, core.Var):
+    for f in core.subterms(form):
+        if isinstance(f, (core.Var, core.Property)):
             out.add(f.name)
-        elif isinstance(f, core.Join):
-            walk(f.binary)
-            walk(f.unary)
-        elif isinstance(f, (core.Intersect, core.Union)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, core.Negate):
-            walk(f.inner)
-        elif isinstance(f, core.Aggregate):
-            walk(f.inner)
-        elif isinstance(f, core.Superlative):
-            walk(f.source)
-            walk(f.degree)
-        elif isinstance(f, (core.Mu, core.Lambda)):
+        elif isinstance(f, core.EntityLit) and isinstance(f.value, core.Entity):
+            out.add(f.value.entity_id)
+        elif f.binds:
             out.add(f.var)
-            walk(f.body)
-        elif isinstance(f, core.Property):
-            out.add(f.name)
-        elif isinstance(f, core.Reverse):
-            walk(f.inner)
-        else:
-            raise TypeError(f"not a resolved form: {f!r}")
-
-    walk(form)
     return out
 
 
@@ -156,54 +134,36 @@ def simplify(t: lc.LCTerm) -> lc.LCTerm:
     """
     for _ in range(200):
         t2 = _simp(t)
-        if t2 == t:
+        if t2 is t:
             return t
         t = t2
     return t
 
 
 def _simp(t: lc.LCTerm) -> lc.LCTerm:
-    if isinstance(t, (lc.Var, lc.Const)):
-        return t
-    if isinstance(t, lc.Pred):
-        return t
-    if isinstance(t, lc.Eq):
-        left, right = t.left, t.right
-        if isinstance(left, lc.CountApp):
-            left = lc.CountApp(_simp(left.set_term))
-        if isinstance(right, lc.CountApp):
-            right = lc.CountApp(_simp(right.set_term))
-        if isinstance(right, lc.Var) and not isinstance(left, lc.Var):
-            left, right = right, left
-        return lc.Eq(left, right)
-    if isinstance(t, lc.And):
-        parts = [_simp(p) for p in _conjuncts(t)]
-        return _rebuild_and(parts)
-    if isinstance(t, lc.Or):
-        return lc.Or(_simp(t.left), _simp(t.right))
-    if isinstance(t, lc.Not):
+    """One pass of `simplify`; returns t itself when nothing changes."""
+    kind = type(t)
+    if kind is lc.Not:
         inner = _simp(t.inner)
-        if isinstance(inner, lc.Not):
+        if type(inner) is lc.Not:
             return inner.inner
-        return lc.Not(inner)
-    if isinstance(t, lc.Exists):
+        return t.rebuild((inner,))
+    if kind is lc.Exists:
         body = _simp(t.body)
         collapsed = _eliminate_exists(t.var, body)
         if collapsed is not None:
             return collapsed
-        return lc.Exists(t.var, body)
-    if isinstance(t, lc.Lam):
-        return lc.Lam(t.var, _simp(t.body))
-    if isinstance(t, lc.CountApp):
-        return lc.CountApp(_simp(t.set_term))
-    if isinstance(t, lc.SupApp):
-        return lc.SupApp(t.op, _simp(t.set_term), _simp(t.degree_term))
-    if isinstance(t, lc.In):
-        element = t.element
-        if isinstance(element, lc.CountApp):
-            element = lc.CountApp(_simp(element.set_term))
-        return lc.In(element, _simp(t.set_expr))
-    raise TypeError(f"not a lambda term: {t!r}")
+        return t.rebuild((body,))
+    kids = t.children()
+    if not kids:
+        return t
+    t = t.rebuild(tuple(map(_simp, kids)))
+    if kind is lc.Eq and type(t.right) is lc.Var and type(t.left) is not lc.Var:
+        return lc.Eq(t.right, t.left)
+    if kind is lc.And and type(t.right) is lc.And:
+        # Each side is a left-associated chain by now; join them into one.
+        return _rebuild_and(_conjuncts(t))
+    return t
 
 
 def _conjuncts(t: lc.LCTerm) -> list:
@@ -249,31 +209,11 @@ def _subst(t: lc.LCTerm, name: str, repl: lc.LCTerm) -> lc.LCTerm:
     """Capture-avoiding substitution of an element term for a variable."""
     if isinstance(t, lc.Var):
         return repl if t.name == name else t
-    if isinstance(t, lc.Const):
-        return t
-    if isinstance(t, lc.Pred):
-        return lc.Pred(t.property, _subst(t.arg1, name, repl), _subst(t.arg2, name, repl))
-    if isinstance(t, lc.Eq):
-        return lc.Eq(_subst(t.left, name, repl), _subst(t.right, name, repl))
-    if isinstance(t, lc.And):
-        return lc.And(_subst(t.left, name, repl), _subst(t.right, name, repl))
-    if isinstance(t, lc.Or):
-        return lc.Or(_subst(t.left, name, repl), _subst(t.right, name, repl))
-    if isinstance(t, lc.Not):
-        return lc.Not(_subst(t.inner, name, repl))
-    if isinstance(t, (lc.Exists, lc.Lam)):
-        ctor = type(t)
+    if t.binds:
         if t.var == name:
             return t
         if isinstance(repl, lc.Var) and repl.name == t.var:
-            renamed = fresh_var(t.var, lc.free_vars(t.body) | {name, repl.name})
+            renamed = fresh_var(t.var, core.free_vars(t.body) | {name, repl.name})
             body = _subst(t.body, t.var, lc.Var(renamed))
-            return ctor(renamed, _subst(body, name, repl))
-        return ctor(t.var, _subst(t.body, name, repl))
-    if isinstance(t, lc.CountApp):
-        return lc.CountApp(_subst(t.set_term, name, repl))
-    if isinstance(t, lc.SupApp):
-        return lc.SupApp(t.op, _subst(t.set_term, name, repl), _subst(t.degree_term, name, repl))
-    if isinstance(t, lc.In):
-        return lc.In(_subst(t.element, name, repl), _subst(t.set_expr, name, repl))
-    raise TypeError(f"not a lambda term: {t!r}")
+            return type(t)(renamed, _subst(body, name, repl))
+    return t.rebuild(tuple(map(_subst, t.children(), repeat(name), repeat(repl))))

@@ -2,11 +2,14 @@
 
 A unary form denotes a set of values, a binary form a set of value pairs.
 The trees here are plain immutable data; parsing, evaluation, conversion,
-and printing live in their own modules.
+and printing live in their own modules. The tree protocol (`Node`) is
+shared with the lambda terms of `lc`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 
 from .errors import UnboundVariable
@@ -130,31 +133,115 @@ class Env:
 EMPTY_ENV = Env({})
 
 
+# --- the tree protocol ----------------------------------------------------------
+
+class Node:
+    """Base class of the syntax trees: logical forms here, lambda terms in `lc`.
+
+    Every node class is declared with `@node`, which reads its fields once:
+    a field annotated with a Node class holds a child, a field named `var`
+    makes the node a binder of that name over its children, and the other
+    fields are labels. From them each node gets
+
+        children()     its child nodes, in field order;
+        rebuild(kids)  the node with those children replaced, or the node
+                       itself when each new child is the old one;
+        labels()       its labels;
+        binds          whether it binds `var`.
+
+    so that a walker that only needs the shape of a tree is written once
+    for every node class, and one that changes nothing returns its input.
+    """
+
+    binds = False
+
+
+class Variable(Node):
+    """A node that refers to a binder by its `name` field."""
+
+
+def node(cls: type) -> type:
+    """Declare a syntax-tree class: a frozen dataclass with the Node protocol."""
+    cls = dataclass(frozen=True)(cls)
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    kids = [n for n in names if isinstance(hints[n], type) and issubclass(hints[n], Node)]
+    labels = [n for n in names if n not in kids and n != "var"]
+    k = [f"k{i}" for i in range(len(kids))]
+    # Generated once per class, as dataclass generates its methods, so that a
+    # walker pays one plain call per node.
+    source = f"""
+def children(self):
+    return ({"".join(f"self.{n}, " for n in kids)})
+
+def labels(self):
+    return ({"".join(f"self.{n}, " for n in labels)})
+
+def rebuild(self, kids):
+    [{", ".join(k)}] = kids
+    if {" and ".join(f"{a} is self.{n}" for a, n in zip(k, kids)) or "True"}:
+        return self
+    return cls({", ".join(k[kids.index(n)] if n in kids else f"self.{n}" for n in names)})
+"""
+    namespace = {"cls": cls}
+    exec(source, namespace)
+    for name in ("children", "labels", "rebuild"):
+        setattr(cls, name, namespace[name])
+    cls.binds = "var" in names
+    return cls
+
+
+def subterms(t: Node):
+    """Every node of t, each before its children."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(t.children())
+
+
+def free_vars(t: Node) -> frozenset[str]:
+    """Variable names referenced by `t` but not bound inside it."""
+    out = set()
+    stack = [(t, frozenset())]
+    while stack:
+        t, bound = stack.pop()
+        if isinstance(t, Variable):
+            if t.name not in bound:
+                out.add(t.name)
+            continue
+        if t.binds:
+            bound = bound | {t.var}
+        for kid in t.children():
+            stack.append((kid, bound))
+    return frozenset(out)
+
+
 # --- unary forms ----------------------------------------------------------------
 
-class UnaryForm:
+class UnaryForm(Node):
     """Base class for set-denoting forms."""
 
 
-class BinaryForm:
+class BinaryForm(Node):
     """Base class for pair-denoting forms."""
 
 
-@dataclass(frozen=True)
+@node
 class EntityLit(UnaryForm):
     """A literal value; denotes the singleton containing it."""
 
     value: Value
 
 
-@dataclass(frozen=True)
-class Var(UnaryForm):
+@node
+class Var(UnaryForm, Variable):
     """A reference to an enclosing mu or lam binder."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Join(UnaryForm):
     """b.u: everything related by b to some member of u."""
 
@@ -162,19 +249,19 @@ class Join(UnaryForm):
     unary: UnaryForm
 
 
-@dataclass(frozen=True)
+@node
 class Intersect(UnaryForm):
     left: UnaryForm
     right: UnaryForm
 
 
-@dataclass(frozen=True)
+@node
 class Union(UnaryForm):
     left: UnaryForm
     right: UnaryForm
 
 
-@dataclass(frozen=True)
+@node
 class Negate(UnaryForm):
     """Complement with respect to the knowledge base's entity domain."""
 
@@ -185,7 +272,7 @@ AGGREGATE_OPS = ("count",)
 SUPERLATIVE_OPS = ("argmax", "argmin")
 
 
-@dataclass(frozen=True)
+@node
 class Aggregate(UnaryForm):
     """count(u): the singleton holding the cardinality of u."""
 
@@ -197,7 +284,7 @@ class Aggregate(UnaryForm):
             raise ValueError(f"unknown aggregate op: {self.op}")
 
 
-@dataclass(frozen=True)
+@node
 class Superlative(UnaryForm):
     """argmax/argmin(source, degree): members of source with extremal degree."""
 
@@ -210,7 +297,7 @@ class Superlative(UnaryForm):
             raise ValueError(f"unknown superlative op: {self.op}")
 
 
-@dataclass(frozen=True)
+@node
 class Mu(UnaryForm):
     """(mu x . u): entities that belong to u when bound to x."""
 
@@ -220,48 +307,23 @@ class Mu(UnaryForm):
 
 # --- binary forms ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@node
 class Property(BinaryForm):
     """A named relation, read in subject-to-object direction."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Reverse(BinaryForm):
     """R[b]: b with its argument order swapped."""
 
     inner: BinaryForm
 
 
-@dataclass(frozen=True)
+@node
 class Lambda(BinaryForm):
     """(lam x . u): pairs (element of u, binding of x)."""
 
     var: str
     body: UnaryForm
-
-
-def free_vars(form: UnaryForm | BinaryForm) -> frozenset[str]:
-    """Variable names referenced by `form` but not bound inside it."""
-    if isinstance(form, (EntityLit, Property)):
-        return frozenset()
-    if isinstance(form, Var):
-        return frozenset({form.name})
-    if isinstance(form, Join):
-        return free_vars(form.binary) | free_vars(form.unary)
-    if isinstance(form, (Intersect, Union)):
-        return free_vars(form.left) | free_vars(form.right)
-    if isinstance(form, Negate):
-        return free_vars(form.inner)
-    if isinstance(form, Aggregate):
-        return free_vars(form.inner)
-    if isinstance(form, Superlative):
-        return free_vars(form.source) | free_vars(form.degree)
-    if isinstance(form, Mu):
-        return free_vars(form.body) - {form.var}
-    if isinstance(form, Reverse):
-        return free_vars(form.inner)
-    if isinstance(form, Lambda):
-        return free_vars(form.body) - {form.var}
-    raise TypeError(f"not a logical form: {form!r}")

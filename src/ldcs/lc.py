@@ -13,28 +13,27 @@ possible.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from .core import Entity, Node, Number, Value, Variable, node, render_value
+from .core import free_vars  # noqa: F401  (one walker for both trees; lc.free_vars)
+from .errors import ParseError
+from .parser import IDENT_RULE, INT_RULE, MAX_DEPTH, Cursor, Lexicon
 
-from .core import INT64_MAX, INT64_MIN, Entity, Number, Value, render_value
-from .errors import ParseError, UnbalancedDelimiter
 
-
-class LCTerm:
+class LCTerm(Node):
     """Base class for lambda-calculus terms."""
 
 
-@dataclass(frozen=True)
-class Var(LCTerm):
+@node
+class Var(LCTerm, Variable):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Const(LCTerm):
     value: Value
 
 
-@dataclass(frozen=True)
+@node
 class Pred(LCTerm):
     """p(t1,t2): the property p relates the two element terms."""
 
@@ -43,49 +42,49 @@ class Pred(LCTerm):
     arg2: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class Eq(LCTerm):
     left: LCTerm
     right: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class And(LCTerm):
     left: LCTerm
     right: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class Or(LCTerm):
     left: LCTerm
     right: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class Not(LCTerm):
     inner: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class Exists(LCTerm):
     var: str
     body: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class Lam(LCTerm):
     var: str
     body: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class CountApp(LCTerm):
     """count(set_term): the cardinality of a one-argument lambda."""
 
     set_term: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class SupApp(LCTerm):
     """argmax/argmin over a set term by a two-argument degree term."""
 
@@ -94,36 +93,12 @@ class SupApp(LCTerm):
     degree_term: LCTerm
 
 
-@dataclass(frozen=True)
+@node
 class In(LCTerm):
     """[element in set_expr]: membership of an element in a set term."""
 
     element: LCTerm
     set_expr: LCTerm
-
-
-def free_vars(t: LCTerm) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, Pred):
-        return free_vars(t.arg1) | free_vars(t.arg2)
-    if isinstance(t, Eq):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, (And, Or)):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, Not):
-        return free_vars(t.inner)
-    if isinstance(t, (Exists, Lam)):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, CountApp):
-        return free_vars(t.set_term)
-    if isinstance(t, SupApp):
-        return free_vars(t.set_term) | free_vars(t.degree_term)
-    if isinstance(t, In):
-        return free_vars(t.element) | free_vars(t.set_expr)
-    raise TypeError(f"not an LC term: {t!r}")
 
 
 def _is_element(t: LCTerm) -> bool:
@@ -150,12 +125,6 @@ def well_formed(t: LCTerm) -> bool:
         return isinstance(t.arg1, (Var, Const)) and isinstance(t.arg2, (Var, Const))
     if isinstance(t, Eq):
         return _is_element(t.left) and _is_element(t.right)
-    if isinstance(t, (And, Or)):
-        return well_formed(t.left) and well_formed(t.right)
-    if isinstance(t, Not):
-        return well_formed(t.inner)
-    if isinstance(t, (Exists, Lam)):
-        return well_formed(t.body)
     if isinstance(t, CountApp):
         return _lam_arity(t.set_term, 1) and well_formed(t.set_term)
     if isinstance(t, SupApp):
@@ -167,54 +136,33 @@ def well_formed(t: LCTerm) -> bool:
         )
     if isinstance(t, In):
         return _is_element(t.element) and well_formed(t.set_expr)
-    return False
+    return isinstance(t, (And, Or, Not, Exists, Lam)) and all(map(well_formed, t.children()))
 
 
 def alpha_eq(a: LCTerm, b: LCTerm) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
-    return _alpha(a, b, {}, {})
-
-
-def _alpha(a: LCTerm, b: LCTerm, l2r: dict[str, str], r2l: dict[str, str]) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        if a.name in l2r or b.name in r2l:
-            return l2r.get(a.name) == b.name and r2l.get(b.name) == a.name
-        return a.name == b.name
-    if isinstance(a, Const):
-        return a == b
-    if isinstance(a, Pred):
-        return (
-            a.property == b.property
-            and _alpha(a.arg1, b.arg1, l2r, r2l)
-            and _alpha(a.arg2, b.arg2, l2r, r2l)
-        )
-    if isinstance(a, Eq):
-        return _alpha(a.left, b.left, l2r, r2l) and _alpha(a.right, b.right, l2r, r2l)
-    if isinstance(a, (And, Or)):
-        return _alpha(a.left, b.left, l2r, r2l) and _alpha(a.right, b.right, l2r, r2l)
-    if isinstance(a, Not):
-        return _alpha(a.inner, b.inner, l2r, r2l)
-    if isinstance(a, (Exists, Lam)):
-        l2r2 = dict(l2r)
-        r2l2 = dict(r2l)
-        l2r2[a.var] = b.var
-        r2l2[b.var] = a.var
-        return _alpha(a.body, b.body, l2r2, r2l2)
-    if isinstance(a, CountApp):
-        return _alpha(a.set_term, b.set_term, l2r, r2l)
-    if isinstance(a, SupApp):
-        return (
-            a.op == b.op
-            and _alpha(a.set_term, b.set_term, l2r, r2l)
-            and _alpha(a.degree_term, b.degree_term, l2r, r2l)
-        )
-    if isinstance(a, In):
-        return _alpha(a.element, b.element, l2r, r2l) and _alpha(
-            a.set_expr, b.set_expr, l2r, r2l
-        )
-    raise TypeError(f"not an LC term: {a!r}")
+    # Pairs of subterms still to compare, each with the renamings in scope
+    # there: l2r maps a's bound names to b's, r2l the reverse.
+    stack = [(a, b, {}, {})]
+    while stack:
+        a, b, l2r, r2l = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Var):
+            if a.name in l2r or b.name in r2l:
+                if l2r.get(a.name) != b.name or r2l.get(b.name) != a.name:
+                    return False
+            elif a.name != b.name:
+                return False
+            continue
+        if a.binds:
+            l2r = {**l2r, a.var: b.var}
+            r2l = {**r2l, b.var: a.var}
+        if a.labels() != b.labels():
+            return False
+        for x, y in zip(a.children(), b.children()):
+            stack.append((x, y, l2r, r2l))
+    return True
 
 
 # --- printing -----------------------------------------------------------------
@@ -267,197 +215,126 @@ def _fmt(t: LCTerm, min_level: int, trailing: bool) -> str:
 
 # --- parsing ------------------------------------------------------------------
 
-_KEYWORDS = {"lambda", "exists", "count", "argmax", "argmin", "in"}
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:]*")
-_INT_RE = re.compile(r"-?[0-9]+")
+# The printed translation of any form within parser.MAX_DEPTH must read
+# back. It opens at most three levels here per level of the form (a
+# superlative opens `in(`, `argmax(` and a `lambda`) and three more at the
+# root and the innermost leaf: 303 for 100 nested superlatives.
+LC_MAX_DEPTH = 3 * MAX_DEPTH + 10
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    pos: int
-
-
-def _lex(text: str) -> list[_Tok]:
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "|" and text[i : i + 2] == "||":
-            toks.append(_Tok("OR", "||", i))
-            i += 2
-            continue
-        if c in "()[],.&!=":
-            kind = {
-                "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
-                ",": "COMMA", ".": "DOT", "&": "AND", "!": "NOT", "=": "EQ",
-            }[c]
-            toks.append(_Tok(kind, c, i))
-            i += 1
-            continue
-        m = _INT_RE.match(text, i)
-        if m and (c.isdigit() or c == "-"):
-            toks.append(_Tok("INT", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Tok("IDENT", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, f"a token (found {c!r})")
-    toks.append(_Tok("EOF", "", n))
-    return toks
-
-
-class _LcParser:
+class _LcParser(Cursor):
     """Recursive descent over the LC surface syntax.
 
     Identifiers are classified while parsing: names bound by an enclosing
     lambda/exists become Var, everything else becomes an entity Const.
+    Each `!`, binder, `(`, `[` and `name(` opens a level of nesting.
     """
 
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self, k: int = 0) -> _Tok:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
-
-    def advance(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            if kind in ("RPAREN", "RBRACKET"):
-                raise UnbalancedDelimiter(tok.pos, what)
-            raise ParseError(tok.pos, what)
-        return self.advance()
-
-    def parse(self) -> LCTerm:
-        t = self.term(frozenset())
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(tok.pos, "end of input")
-        return t
+    LEXICON = Lexicon({
+        "INT": INT_RULE, "IDENT": IDENT_RULE,
+        "OR": r"\|\|", "AND": "&", "NOT": "!", "EQ": "=", "DOT": r"\.", "COMMA": ",",
+        "LPAREN": r"\(", "RPAREN": r"\)", "LBRACKET": r"\[", "RBRACKET": r"\]",
+    })
+    KEYWORDS = frozenset({"lambda", "exists", "count", "argmax", "argmin", "in"})
+    MAX_DEPTH = LC_MAX_DEPTH
 
     def term(self, scope: frozenset[str]) -> LCTerm:
+        """Binders, then a disjunction of conjunctions of atoms."""
+        binders = []
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in ("lambda", "exists"):
+        while tok.kind == "IDENT" and tok.text in ("lambda", "exists"):
+            self.nest(tok)
             self.advance()
             name = self.binder_name()
             self.expect("DOT", "'.' after binder")
-            body = self.term(scope | {name})
-            return Lam(name, body) if tok.text == "lambda" else Exists(name, body)
-        return self.disjunction(scope)
-
-    def binder_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text in _KEYWORDS:
-            raise ParseError(tok.pos, "a variable name")
-        return self.advance().text
-
-    def disjunction(self, scope) -> LCTerm:
-        left = self.conjunction(scope)
-        while self.peek().kind == "OR":
+            binders.append((tok.text, name))
+            scope = scope | {name}
+            tok = self.peek()
+        t = None
+        while True:
+            conj = self.atom(scope)
+            while self.peek().kind == "AND":
+                self.advance()
+                conj = And(conj, self.atom(scope))
+            t = conj if t is None else Or(t, conj)
+            if self.peek().kind != "OR":
+                break
             self.advance()
-            left = Or(left, self.conjunction(scope))
-        return left
-
-    def conjunction(self, scope) -> LCTerm:
-        left = self.atom(scope)
-        while self.peek().kind == "AND":
-            self.advance()
-            left = And(left, self.atom(scope))
-        return left
+        for word, name in reversed(binders):
+            t = Lam(name, t) if word == "lambda" else Exists(name, t)
+        self.depth -= len(binders)
+        return t
 
     def atom(self, scope) -> LCTerm:
         tok = self.peek()
+        if tok.kind == "INT":
+            return Const(Number(self.integer()))
+        if tok.kind == "IDENT":
+            if tok.text in ("lambda", "exists"):
+                raise ParseError(tok.pos, f"a term (found keyword {tok.text!r})")
+            if tok.text not in self.KEYWORDS and self.peek(1).kind != "LPAREN":
+                self.advance()
+                return self._name(tok, scope)
+        elif tok.kind not in ("NOT", "LBRACKET", "LPAREN"):
+            raise ParseError(tok.pos, "a term")
+        self.nest(tok)
+        self.advance()
         if tok.kind == "NOT":
-            self.advance()
-            return Not(self.atom(scope))
-        if tok.kind == "LBRACKET":
-            self.advance()
+            t = Not(self.atom(scope))
+        elif tok.kind == "LBRACKET":
             left = self.element(scope)
             self.expect("EQ", "'=' in equality")
             right = self.element(scope)
             self.expect("RBRACKET", "']' closing equality")
-            return Eq(left, right)
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.term(scope)
+            t = Eq(left, right)
+        elif tok.kind == "LPAREN":
+            t = self.term(scope)
             self.expect("RPAREN", "')'")
-            return inner
-        if tok.kind == "INT":
+        elif tok.text == "count":
+            self.expect("LPAREN", "'(' after count")
+            t = CountApp(self.term(scope))
+            self.expect("RPAREN", "')' closing count")
+        elif tok.text in ("argmax", "argmin"):
+            self.expect("LPAREN", f"'(' after {tok.text}")
+            set_term = self.term(scope)
+            self.expect("COMMA", "',' between superlative arguments")
+            degree = self.term(scope)
+            self.expect("RPAREN", f"')' closing {tok.text}")
+            t = SupApp(tok.text, set_term, degree)
+        elif tok.text == "in":
+            self.expect("LPAREN", "'(' after in")
+            element = self.element(scope)
+            self.expect("COMMA", "',' in membership")
+            set_expr = self.term(scope)
+            self.expect("RPAREN", "')' closing in")
+            t = In(element, set_expr)
+        else:
             self.advance()
-            return Const(Number(self._int(tok)))
-        if tok.kind == "IDENT":
-            if tok.text == "count":
-                self.advance()
-                self.expect("LPAREN", "'(' after count")
-                inner = self.term(scope)
-                self.expect("RPAREN", "')' closing count")
-                return CountApp(inner)
-            if tok.text in ("argmax", "argmin"):
-                self.advance()
-                self.expect("LPAREN", f"'(' after {tok.text}")
-                set_term = self.term(scope)
-                self.expect("COMMA", "',' between superlative arguments")
-                degree = self.term(scope)
-                self.expect("RPAREN", f"')' closing {tok.text}")
-                return SupApp(tok.text, set_term, degree)
-            if tok.text == "in":
-                self.advance()
-                self.expect("LPAREN", "'(' after in")
-                element = self.element(scope)
-                self.expect("COMMA", "',' in membership")
-                set_expr = self.term(scope)
-                self.expect("RPAREN", "')' closing in")
-                return In(element, set_expr)
-            if tok.text in _KEYWORDS:
-                raise ParseError(tok.pos, f"a term (found keyword {tok.text!r})")
-            self.advance()
-            if self.peek().kind == "LPAREN":
-                self.advance()
-                a1 = self.element(scope)
-                self.expect("COMMA", "',' between predicate arguments")
-                a2 = self.element(scope)
-                self.expect("RPAREN", "')' closing predicate")
-                return Pred(tok.text, a1, a2)
-            return self._name(tok, scope)
-        raise ParseError(tok.pos, "a term")
+            a1 = self.element(scope)
+            self.expect("COMMA", "',' between predicate arguments")
+            a2 = self.element(scope)
+            self.expect("RPAREN", "')' closing predicate")
+            t = Pred(tok.text, a1, a2)
+        self.depth -= 1
+        return t
 
     def element(self, scope) -> LCTerm:
         tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return Const(Number(self._int(tok)))
-        if tok.kind == "IDENT" and tok.text == "count":
+        if tok.kind == "INT" or (tok.kind == "IDENT" and tok.text == "count"):
             return self.atom(scope)
-        if tok.kind == "IDENT" and tok.text not in _KEYWORDS:
+        if tok.kind == "IDENT" and tok.text not in self.KEYWORDS:
             self.advance()
             return self._name(tok, scope)
         raise ParseError(tok.pos, "an element (variable, constant, or count)")
 
-    def _name(self, tok: _Tok, scope) -> LCTerm:
+    def _name(self, tok, scope) -> LCTerm:
         if tok.text in scope:
             return Var(tok.text)
         return Const(Entity(tok.text))
 
-    def _int(self, tok: _Tok) -> int:
-        n = int(tok.text)
-        if not (INT64_MIN <= n <= INT64_MAX):
-            raise ParseError(tok.pos, "an integer in 64-bit range")
-        return n
-
 
 def parse_lc(text: str) -> LCTerm:
-    return _LcParser(_lex(text)).parse()
+    """Parse lambda-term text; past LC_MAX_DEPTH levels of nesting it is a
+    ParseError."""
+    parser = _LcParser(text)
+    return parser.whole(lambda: parser.term(frozenset()))

@@ -196,73 +196,11 @@ class _OracleEval:
 
 
 def _constants(t) -> frozenset:
-    out = set()
-
-    def walk(s):
-        if isinstance(s, lc.Const):
-            out.add(s.value)
-        elif isinstance(s, (lc.Var,)):
-            pass
-        elif isinstance(s, lc.Pred):
-            walk(s.arg1)
-            walk(s.arg2)
-        elif isinstance(s, lc.Eq):
-            walk(s.left)
-            walk(s.right)
-        elif isinstance(s, (lc.And, lc.Or)):
-            walk(s.left)
-            walk(s.right)
-        elif isinstance(s, lc.Not):
-            walk(s.inner)
-        elif isinstance(s, (lc.Exists, lc.Lam)):
-            walk(s.body)
-        elif isinstance(s, lc.CountApp):
-            walk(s.set_term)
-        elif isinstance(s, lc.SupApp):
-            walk(s.set_term)
-            walk(s.degree_term)
-        elif isinstance(s, lc.In):
-            walk(s.element)
-            walk(s.set_expr)
-        else:
-            raise TypeError(f"not a lambda term: {s!r}")
-
-    walk(t)
-    return frozenset(out)
+    return frozenset(s.value for s in core.subterms(t) if isinstance(s, lc.Const))
 
 
 def _count_subterms(t) -> list:
-    out = []
-
-    def walk(s):
-        if isinstance(s, lc.CountApp):
-            out.append(s)
-            walk(s.set_term)
-        elif isinstance(s, (lc.Var, lc.Const)):
-            pass
-        elif isinstance(s, lc.Pred):
-            pass
-        elif isinstance(s, lc.Eq):
-            walk(s.left)
-            walk(s.right)
-        elif isinstance(s, (lc.And, lc.Or)):
-            walk(s.left)
-            walk(s.right)
-        elif isinstance(s, lc.Not):
-            walk(s.inner)
-        elif isinstance(s, (lc.Exists, lc.Lam)):
-            walk(s.body)
-        elif isinstance(s, lc.SupApp):
-            walk(s.set_term)
-            walk(s.degree_term)
-        elif isinstance(s, lc.In):
-            walk(s.element)
-            walk(s.set_expr)
-        else:
-            raise TypeError(f"not a lambda term: {s!r}")
-
-    walk(t)
-    return out
+    return [s for s in core.subterms(t) if isinstance(s, lc.CountApp)]
 
 
 # --- random form generation ---------------------------------------------------

@@ -23,12 +23,17 @@ binder, `R[`, `count(`, `argmax(` and `argmin(` opens one level; `&` and
 `|` open none. Deeper text raises ParseError at the token that opens the
 first level too many, where it would otherwise exhaust Python's recursion
 limit in the parser or in the tree walks that follow it.
+
+The lexer and the token cursor here serve the lambda-term parser in `lc`
+as well, each grammar bringing its own token table.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 from .core import (
     INT64_MAX,
@@ -49,6 +54,7 @@ from .core import (
     UnaryForm,
     Union,
     Var,
+    node,
     render_value,
 )
 from .errors import (
@@ -64,14 +70,14 @@ KEYWORDS = {"mu", "lam", "count", "argmax", "argmin"}
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
+@node
 class UnresolvedUnary(UnaryForm):
     """An identifier in unary position, not yet classified."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class UnresolvedBinary(BinaryForm):
     """An identifier in binary position, not yet classified."""
 
@@ -80,78 +86,85 @@ class UnresolvedBinary(BinaryForm):
 
 # --- lexing -------------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:.]*")
-_INT_RE = re.compile(r"-?[0-9]+")
-
-_SYMBOLS = {
-    ".": "DOT", "&": "AMP", "|": "PIPE", "!": "BANG",
-    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA",
-}
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-def _lex(text: str) -> list[Token]:
+class Lexicon:
+    """A grammar's token table, compiled into one regular expression.
+
+    `rules` maps each token kind to its regex, tried in order at each
+    position; `errors` maps a regex, tried after them, to what the
+    ParseError at its match says was expected. The regexes use no
+    capturing groups. Whitespace separates tokens; any other text that
+    nothing matches is a ParseError too.
+    """
+
+    def __init__(self, rules: dict[str, str], errors: dict[str, str] | None = None):
+        groups = {"SPACE": r"\s+", **rules}
+        self.errors: dict[str, str | None] = {}
+        for i, (regex, expected) in enumerate((errors or {}).items()):
+            groups[f"ERROR{i}"] = regex
+            self.errors[f"ERROR{i}"] = expected
+        groups["UNKNOWN"] = "."
+        self.errors["UNKNOWN"] = None  # expected: "a token (found ...)"
+        self.regex = re.compile(
+            "|".join(f"(?P<{kind}>{regex})" for kind, regex in groups.items()), re.DOTALL
+        )
+
+
+# Token(kind, text, pos) without the Python-level __new__ of a NamedTuple.
+_token = partial(tuple.__new__, Token)
+
+
+def lex(text: str, lexicon: Lexicon) -> list[Token]:
+    """The tokens of `text`, ending with an EOF token at its end."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    errors = lexicon.errors
+    for m in lexicon.regex.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
             continue
-        if c in _SYMBOLS:
-            toks.append(Token(_SYMBOLS[c], c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == "-":
-            m = _INT_RE.match(text, i)
-            if not m:
-                raise ParseError(i, "an integer literal")
-            toks.append(Token("INT", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            # Identifier characters include '.', but in expressions the dot
-            # is the join operator: split the munched run back apart.
-            pos = i
-            for k, part in enumerate(m.group().split(".")):
-                if k > 0:
-                    toks.append(Token("DOT", ".", pos))
-                    pos += 1
-                if part:
-                    # An empty segment leaves a bare DOT for the parser to
-                    # reject with a position.
-                    if _INT_RE.fullmatch(part):
-                        toks.append(Token("INT", part, pos))
-                    elif part[0].isdigit():
-                        raise ParseError(pos, "a name or an integer")
-                    else:
-                        toks.append(Token("IDENT", part, pos))
-                    pos += len(part)
-            i = m.end()
-            continue
-        raise ParseError(i, f"a token (found {c!r})")
-    toks.append(Token("EOF", "", n))
+        if kind in errors:
+            raise ParseError(m.start(), errors[kind] or f"a token (found {m.group()!r})")
+        toks.append(_token((kind, m.group(), m.start())))
+    toks.append(Token("EOF", "", len(text)))
     return toks
 
 
-# --- parsing ------------------------------------------------------------------
+# Integers and identifiers read the same in both grammars. Identifiers may
+# contain ':' for namespacing; a '.' is always a token of its own.
+INT_RULE = r"-?[0-9]+"
+IDENT_RULE = r"[A-Za-z_][A-Za-z0-9_:]*"
 
-class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+class Cursor:
+    """Recursive descent over a token list: the parsers of both grammars
+    read their tokens through this.
+
+    `nest` guards the depth of the recursion. Each construct that makes a
+    parser recurse opens a level with `nest` and closes it by decrementing
+    `depth`; past `MAX_DEPTH` levels the text is a ParseError at the token
+    that opens the first level too many, where it would otherwise exhaust
+    Python's recursion limit in the parser or in the tree walks that follow.
+    """
+
+    # Each grammar's parser sets these.
+    LEXICON: Lexicon
+    KEYWORDS: frozenset[str]
+    MAX_DEPTH: int
+
+    def __init__(self, text: str):
+        self.toks = lex(text, self.LEXICON)
         self.i = 0
         self.depth = 0
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        try:
+            return self.toks[self.i + k]
+        except IndexError:
+            return self.toks[-1]
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
@@ -167,36 +180,61 @@ class _Parser:
         return self.advance()
 
     def nest(self, tok: Token) -> None:
-        """Enter the level of nesting that `tok` opens; the caller leaves it
-        by decrementing `depth`."""
+        """Enter the level of nesting that `tok` opens."""
         self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(tok.pos, f"at most {MAX_DEPTH} levels of nesting")
+        if self.depth > self.MAX_DEPTH:
+            raise ParseError(tok.pos, f"at most {self.MAX_DEPTH} levels of nesting")
 
-    def parse(self) -> UnaryForm:
-        u = self.union()
+    def whole(self, rule):
+        """The result of `rule`, which must read every token."""
+        result = rule()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ParseError(tok.pos, "end of input")
-        return u
+        return result
+
+    def binder_name(self) -> str:
+        tok = self.peek()
+        if tok.kind != "IDENT" or tok.text in self.KEYWORDS:
+            raise ParseError(tok.pos, "a variable name")
+        return self.advance().text
+
+    def integer(self) -> int:
+        tok = self.advance()
+        n = int(tok.text)
+        if not (INT64_MIN <= n <= INT64_MAX):
+            raise ParseError(tok.pos, "an integer in 64-bit range")
+        return n
+
+
+# --- parsing ------------------------------------------------------------------
+
+class _Parser(Cursor):
+    LEXICON = Lexicon({
+        "INT": INT_RULE, "IDENT": IDENT_RULE,
+        "DOT": r"\.", "AND": "&", "OR": r"\|", "NOT": "!", "COMMA": ",",
+        "LPAREN": r"\(", "RPAREN": r"\)", "LBRACKET": r"\[", "RBRACKET": r"\]",
+    }, errors={"-": "an integer literal"})
+    KEYWORDS = KEYWORDS
+    MAX_DEPTH = MAX_DEPTH
 
     def union(self) -> UnaryForm:
         left = self.inter()
-        while self.peek().kind == "PIPE":
+        while self.peek().kind == "OR":
             self.advance()
             left = Union(left, self.inter())
         return left
 
     def inter(self) -> UnaryForm:
         left = self.uatom()
-        while self.peek().kind == "AMP":
+        while self.peek().kind == "AND":
             self.advance()
             left = Intersect(left, self.uatom())
         return left
 
     def uatom(self) -> UnaryForm:
         tok = self.peek()
-        if tok.kind == "BANG":
+        if tok.kind == "NOT":
             self.nest(tok)
             self.advance()
             u = Negate(self.uatom())
@@ -246,20 +284,10 @@ class _Parser:
             return UnresolvedBinary(tok.text)
         raise ParseError(tok.pos, "a binary form")
 
-    def binder_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text in KEYWORDS:
-            raise ParseError(tok.pos, "a variable name")
-        return self.advance().text
-
     def primary(self) -> UnaryForm:
         tok = self.peek()
         if tok.kind == "INT":
-            self.advance()
-            n = int(tok.text)
-            if not (INT64_MIN <= n <= INT64_MAX):
-                raise ParseError(tok.pos, "an integer in 64-bit range")
-            return EntityLit(Number(n))
+            return EntityLit(Number(self.integer()))
         if tok.kind == "IDENT":
             if tok.text == "count":
                 self.nest(tok)
@@ -306,7 +334,8 @@ def parse_unary(text: str) -> UnaryForm:
 
     Raises ParseError past MAX_DEPTH levels of nesting.
     """
-    return _Parser(_lex(text)).parse()
+    parser = _Parser(text)
+    return parser.whole(parser.union)
 
 
 # --- resolution -----------------------------------------------------------------
@@ -320,64 +349,24 @@ def resolve(raw: UnaryForm, kb=None, strict: bool = False) -> UnaryForm:
     """
     if strict and kb is None:
         raise ValueError("strict resolution needs a knowledge base")
-    return _resolve_unary(raw, kb, strict, frozenset())
+    return _resolve(raw, kb, strict, frozenset())
 
 
-def _resolve_unary(u, kb, strict, scope):
-    if isinstance(u, UnresolvedUnary):
-        if u.name in scope:
-            return Var(u.name)
-        return EntityLit(Entity(u.name))
-    if isinstance(u, (EntityLit, Var)):
-        return u
-    if isinstance(u, Join):
-        return Join(
-            _resolve_binary(u.binary, kb, strict, scope),
-            _resolve_unary(u.unary, kb, strict, scope),
-        )
-    if isinstance(u, Intersect):
-        return Intersect(
-            _resolve_unary(u.left, kb, strict, scope),
-            _resolve_unary(u.right, kb, strict, scope),
-        )
-    if isinstance(u, Union):
-        return Union(
-            _resolve_unary(u.left, kb, strict, scope),
-            _resolve_unary(u.right, kb, strict, scope),
-        )
-    if isinstance(u, Negate):
-        return Negate(_resolve_unary(u.inner, kb, strict, scope))
-    if isinstance(u, Aggregate):
-        return Aggregate(u.op, _resolve_unary(u.inner, kb, strict, scope))
-    if isinstance(u, Superlative):
-        return Superlative(
-            u.op,
-            _resolve_unary(u.source, kb, strict, scope),
-            _resolve_binary(u.degree, kb, strict, scope),
-        )
-    if isinstance(u, Mu):
-        if u.var in scope:
-            raise ShadowedVariable(u.var)
-        return Mu(u.var, _resolve_unary(u.body, kb, strict, scope | {u.var}))
-    raise TypeError(f"not a unary form: {u!r}")
-
-
-def _resolve_binary(b, kb, strict, scope):
-    if isinstance(b, UnresolvedBinary):
-        if b.name in scope:
-            raise VariableInBinaryPosition(b.name)
-        if strict and b.name not in kb.property_set:
-            raise UnknownProperty(b.name)
-        return Property(b.name)
-    if isinstance(b, Property):
-        return b
-    if isinstance(b, Reverse):
-        return Reverse(_resolve_binary(b.inner, kb, strict, scope))
-    if isinstance(b, Lambda):
-        if b.var in scope:
-            raise ShadowedVariable(b.var)
-        return Lambda(b.var, _resolve_unary(b.body, kb, strict, scope | {b.var}))
-    raise TypeError(f"not a binary form: {b!r}")
+def _resolve(f, kb, strict, scope):
+    if isinstance(f, UnresolvedUnary):
+        return Var(f.name) if f.name in scope else EntityLit(Entity(f.name))
+    if isinstance(f, UnresolvedBinary):
+        if f.name in scope:
+            raise VariableInBinaryPosition(f.name)
+        if strict and f.name not in kb.property_set:
+            raise UnknownProperty(f.name)
+        return Property(f.name)
+    if f.binds:
+        if f.var in scope:
+            raise ShadowedVariable(f.var)
+        scope = scope | {f.var}
+    # map adds no Python frame per level, as a comprehension would
+    return f.rebuild(tuple(map(_resolve, f.children(), repeat(kb), repeat(strict), repeat(scope))))
 
 
 # --- printing -------------------------------------------------------------------

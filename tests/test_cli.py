@@ -219,6 +219,20 @@ def test_nesting_past_the_limit_is_a_parse_error(capsys, cmd, kind, depth):
     assert "Traceback" not in err
 
 
+def _under(frames, fn):
+    """fn() called with `frames` more Python frames on the stack."""
+    return fn() if frames == 0 else _under(frames - 1, fn)
+
+
+@pytest.mark.parametrize("kind", ["!", "(", "mu", "join", "R[", "count", "argmax"])
+def test_lc_at_the_limit_leaves_room_on_the_stack(capsys, kind):
+    # simplify stops on identity, so no comparison recurses through the
+    # term, and the translation runs with the caller's stack already deep.
+    text = _nested(kind, MAX_DEPTH)
+    code, out, err = _under(200, lambda: run(capsys, "lc", text))
+    assert code == 0 and err == ""
+
+
 def test_nesting_limit_points_at_the_first_level_too_many():
     with pytest.raises(ParseError) as exc:
         parse_unary("!" * (MAX_DEPTH + 5) + "Seattle")

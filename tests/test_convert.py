@@ -14,6 +14,7 @@ from ldcs import (
     to_lc_unary,
     well_formed,
 )
+from ldcs.convert import _simp
 from ldcs.lc import And, Const, Eq, Exists, Lam, Not, Pred, Var, free_vars
 from ldcs.core import Entity
 
@@ -148,3 +149,6 @@ def test_translation_is_closed_and_well_formed(seed, depth):
 def test_simplify_is_idempotent(seed):
     term = simplify(to_lc_unary(gen_term(seed, 4, _schema())))
     assert simplify(term) == term
+    # At the fixpoint a pass rebuilds nothing, so simplify stops on identity.
+    assert _simp(term) is term
+    assert simplify(term) is term

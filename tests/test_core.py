@@ -153,3 +153,29 @@ def test_free_vars():
     assert free_vars(Mu("a", body)) == set()
     assert free_vars(Lambda("a", Intersect(body, Var("b")))) == {"b"}
     assert free_vars(Reverse(Lambda("a", Var("a")))) == set()
+
+
+PUBLIC_NAMES = {
+    "Aggregate", "BadObject", "BadSubject", "EMPTY_ENV", "Entity", "EntityLit",
+    "Env", "EquivalenceReport", "EvalError", "GenSchema", "IllTyped", "Intersect",
+    "Join", "KbFormatError", "KnowledgeBase", "Lambda", "LdcsError",
+    "MalformedLine", "Mismatch", "Mu", "Negate", "NonNumericDegree", "Number",
+    "ParseError", "Property", "ResolveError", "Reverse", "ShadowedVariable",
+    "Superlative", "Triple", "UnbalancedDelimiter", "UnboundVariable", "Union",
+    "UnknownProperty", "UnsupportedConstruct", "Var", "VariableInBinaryPosition",
+    "__version__", "alpha_eq", "check_equivalence", "compile_sparql", "degree_of",
+    "dump_kb", "eval_binary", "eval_unary", "format_binary", "format_lc",
+    "format_unary", "free_vars", "fresh_var", "from_triples", "gen_term",
+    "lc_eval", "load_kb", "load_kb_file", "parse_lc", "parse_unary",
+    "render_value", "resolve", "simplify", "to_lc_binary", "to_lc_unary",
+    "value_sort_key", "well_formed",
+}
+
+
+def test_public_names():
+    import ldcs
+
+    assert len(ldcs.__all__) == len(PUBLIC_NAMES) == 64
+    assert set(ldcs.__all__) == PUBLIC_NAMES
+    for name in ldcs.__all__:
+        assert getattr(ldcs, name) is not None

@@ -1,0 +1,69 @@
+"""Arbitrary input to the parsers and the loader ends in a result or an LdcsError."""
+
+from hypothesis import given, settings, strategies as st
+
+from ldcs import LdcsError, load_kb, parse_lc, parse_unary, resolve
+
+
+def _soup(tokens):
+    """Text made of the grammar's own tokens, with and without spaces."""
+    return st.lists(st.sampled_from(tokens), max_size=40).flatmap(
+        lambda parts: st.sampled_from(["", " "]).map(lambda sep: sep.join(parts))
+    )
+
+
+_FORM_TOKENS = [
+    "Seattle", "Type", "x", "y", "R", "mu", "lam", "count", "argmax", "argmin",
+    "0", "42", "-7", "99999999999999999999", "a:b",
+    ".", "&", "|", "!", "(", ")", "[", "]", ",", "-", ":", "@",
+]
+_LC_TOKENS = [
+    "lambda", "exists", "count", "argmax", "argmin", "in", "x", "y", "P", "Seattle",
+    "3", "-1", "99999999999999999999",
+    ".", "&", "||", "|", "!", "=", "(", ")", "[", "]", ",", "-", "@",
+]
+_KB_TOKENS = [
+    "Alice", "Type", "City", "a.b", "mu", "count", "7", "-3", "9lives",
+    "99999999999999999999", "#", "\t", "\n", " ", "", ":x",
+]
+
+_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _form(text):
+    try:
+        resolve(parse_unary(text))
+    except LdcsError:
+        pass
+
+
+def _term(text):
+    try:
+        parse_lc(text)
+    except LdcsError:
+        pass
+
+
+def _kb(text):
+    try:
+        load_kb(text)
+    except LdcsError:
+        pass
+
+
+@_SETTINGS
+@given(st.one_of(st.text(max_size=60), _soup(_FORM_TOKENS)))
+def test_form_text_parses_or_raises_ldcs_error(text):
+    _form(text)
+
+
+@_SETTINGS
+@given(st.one_of(st.text(max_size=60), _soup(_LC_TOKENS)))
+def test_lambda_term_text_parses_or_raises_ldcs_error(text):
+    _term(text)
+
+
+@_SETTINGS
+@given(st.one_of(st.text(max_size=80), _soup(_KB_TOKENS)))
+def test_kb_text_loads_or_raises_ldcs_error(text):
+    _kb(text)

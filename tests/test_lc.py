@@ -3,7 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ldcs import GenSchema, alpha_eq, format_lc, gen_term, parse_lc, to_lc_unary, well_formed
+from ldcs import (
+    GenSchema,
+    alpha_eq,
+    format_lc,
+    gen_term,
+    parse_lc,
+    parse_unary,
+    resolve,
+    simplify,
+    to_lc_unary,
+    well_formed,
+)
 from ldcs.lc import (
     And,
     Const,
@@ -20,6 +31,8 @@ from ldcs.lc import (
 )
 from ldcs.core import Entity, Number
 from ldcs.errors import ParseError, UnbalancedDelimiter
+from ldcs.lc import LC_MAX_DEPTH
+from ldcs.parser import MAX_DEPTH
 
 
 ROUND_TRIPS = [
@@ -140,3 +153,54 @@ def test_translated_terms_print_and_reparse_exactly(seed, depth):
     term = to_lc_unary(gen_term(seed, depth, _SCHEMA))
     assert well_formed(term)
     assert parse_lc(format_lc(term)) == term
+
+
+# --- deep nesting -------------------------------------------------------------
+
+def _lc_nested(kind, n):
+    """Lambda-term text whose `kind` construct opens n levels."""
+    if kind == "!":
+        return "!" * n + "a"
+    if kind == "(":
+        return "(" * n + "a" + ")" * n
+    if kind in ("lambda", "exists"):
+        return "".join(f"{kind} x{i} . " for i in range(n)) + "a"
+    assert kind == "count"
+    return "count(" * n + "a" + ")" * n
+
+
+@pytest.mark.parametrize("kind", ["!", "(", "lambda", "exists", "count"])
+def test_nesting_past_the_limit_is_a_parse_error(kind):
+    assert parse_lc(_lc_nested(kind, LC_MAX_DEPTH))
+    for depth in (LC_MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError) as exc:
+            parse_lc(_lc_nested(kind, depth))
+        assert f"at most {LC_MAX_DEPTH} levels" in str(exc.value)
+
+
+def _form_nested(kind, n):
+    """Form text whose `kind` construct opens n levels."""
+    if kind == "!":
+        return "!" * n + "Seattle"
+    if kind == "(":
+        return "(" * n + "Seattle" + ")" * n
+    if kind == "join":
+        return "Type." * n + "City"
+    if kind == "mu":
+        return "".join(f"(mu v{i} . " for i in range(n)) + "Seattle" + ")" * n
+    if kind == "lam":
+        # The join through a lam opens a level, and so does the lam.
+        return "".join(f"(lam v{i} . " for i in range(n // 2)) + "Seattle" + ").City" * (n // 2)
+    if kind == "R[":
+        return "R[" * (n - 1) + "Type" + "]" * (n - 1) + ".City"
+    if kind == "count":
+        return "count(" * n + "Seattle" + ")" * n
+    assert kind == "argmax"
+    return "argmax(" * n + "Seattle" + ", Area)" * n
+
+
+@pytest.mark.parametrize("kind", ["!", "(", "join", "mu", "lam", "R[", "count", "argmax"])
+def test_translations_at_the_form_nesting_limit_read_back(kind):
+    raw = to_lc_unary(resolve(parse_unary(_form_nested(kind, MAX_DEPTH))))
+    for term in (raw, simplify(raw)):
+        assert alpha_eq(parse_lc(format_lc(term)), term)

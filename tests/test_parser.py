@@ -84,6 +84,20 @@ def test_numbers_and_namespaced_names():
     assert u == Join(Property("fb:row"), EntityLit(Entity("x")))
 
 
+def test_a_dot_is_always_a_token_of_its_own():
+    # A digit-led segment after a dot is an integer, and ':' cannot start a
+    # name, wherever they stand.
+    with pytest.raises(ParseError) as exc:
+        parse_unary("Type.5b")
+    assert (exc.value.position, exc.value.expected) == (6, "end of input")
+    with pytest.raises(ParseError) as exc:
+        parse_unary("Type.:x")
+    assert exc.value.position == 5
+    with pytest.raises(ParseError) as exc:
+        parse_unary("a - b")
+    assert (exc.value.position, exc.value.expected) == (2, "an integer literal")
+
+
 def test_keywords_and_binders():
     u = rparse("count(Type.USState)")
     assert u == Aggregate("count", Join(Property("Type"), EntityLit(Entity("USState"))))
