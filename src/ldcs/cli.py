@@ -23,7 +23,7 @@ from .evaluator import eval_unary
 from .kb import load_kb_file
 from .lc import format_lc
 from .oracle import check_equivalence
-from .parser import parse_unary, resolve
+from .parser import MAX_DEPTH, parse_unary, resolve
 from .sparql import compile_sparql
 
 _BAD_INPUT = 1
@@ -124,7 +124,13 @@ def _cmd_check(args) -> int:
     if not args.kb:
         print("error: --trials above zero needs a KB (-k)", file=sys.stderr)
         return _BAD_INPUT
+    if not 0 <= args.depth <= MAX_DEPTH:
+        print(f"error: --depth must be between 0 and {MAX_DEPTH}", file=sys.stderr)
+        return _BAD_INPUT
     kb = load_kb_file(args.kb)
+    if not len(kb):
+        print("error: the KB has no triples to draw forms from", file=sys.stderr)
+        return _BAD_INPUT
     report = check_equivalence(kb, args.trials, max_depth=args.depth, seed=args.seed)
     print(report.render())
     return 0 if report.ok else _EVAL_ERROR

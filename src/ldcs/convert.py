@@ -9,6 +9,7 @@ bureaucratic quantifiers without changing the denotation.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
 
 from . import core, lc
@@ -124,24 +125,23 @@ def _binary_pred(b, x: str, y: str, env: dict, names: _Names) -> lc.LCTerm:
 def simplify(t: lc.LCTerm) -> lc.LCTerm:
     """Collapse redundant structure without changing meaning.
 
-    Repeats until fixpoint:
+    Rules:
       * exists y . (... & [y = c] & ...)  ->  conjunction with c for y,
         when c is a constant or another variable (never the result of an
         aggregate, which cannot appear as a predicate argument);
       * [c = v] -> [v = c] when v is a variable and c is not;
       * right-nested conjunctions rebuilt left-associated;
       * double negation dropped.
+
+    One bottom-up pass is a fixpoint: children are normalised before their
+    parent's rules run, and substituting an element for a variable keeps
+    every rule except orientation, which `_subst` restores.
     """
-    for _ in range(200):
-        t2 = _simp(t)
-        if t2 is t:
-            return t
-        t = t2
-    return t
+    return _simp(t)
 
 
 def _simp(t: lc.LCTerm) -> lc.LCTerm:
-    """One pass of `simplify`; returns t itself when nothing changes."""
+    """The pass of `simplify`; returns t itself when nothing changes."""
     kind = type(t)
     if kind is lc.Not:
         inner = _simp(t.inner)
@@ -158,11 +158,16 @@ def _simp(t: lc.LCTerm) -> lc.LCTerm:
     if not kids:
         return t
     t = t.rebuild(tuple(map(_simp, kids)))
-    if kind is lc.Eq and type(t.right) is lc.Var and type(t.left) is not lc.Var:
-        return lc.Eq(t.right, t.left)
     if kind is lc.And and type(t.right) is lc.And:
         # Each side is a left-associated chain by now; join them into one.
-        return _rebuild_and(_conjuncts(t))
+        return reduce(lc.And, _conjuncts(t))
+    return _orient(t)
+
+
+def _orient(t: lc.LCTerm) -> lc.LCTerm:
+    """[c = v] -> [v = c] when v is a variable and c is not; t otherwise."""
+    if type(t) is lc.Eq and type(t.right) is lc.Var and type(t.left) is not lc.Var:
+        return lc.Eq(t.right, t.left)
     return t
 
 
@@ -170,13 +175,6 @@ def _conjuncts(t: lc.LCTerm) -> list:
     if isinstance(t, lc.And):
         return _conjuncts(t.left) + _conjuncts(t.right)
     return [t]
-
-
-def _rebuild_and(parts: list) -> lc.LCTerm:
-    out = parts[0]
-    for p in parts[1:]:
-        out = lc.And(out, p)
-    return out
 
 
 def _witness(var: str, conjunct: lc.LCTerm):
@@ -201,7 +199,7 @@ def _eliminate_exists(var: str, body: lc.LCTerm):
         w = _witness(var, part)
         if w is not None:
             rest = parts[:i] + parts[i + 1:]
-            return _rebuild_and([_subst(p, var, w) for p in rest])
+            return reduce(lc.And, [_subst(p, var, w) for p in rest])
     return None
 
 
@@ -216,4 +214,4 @@ def _subst(t: lc.LCTerm, name: str, repl: lc.LCTerm) -> lc.LCTerm:
             renamed = fresh_var(t.var, core.free_vars(t.body) | {name, repl.name})
             body = _subst(t.body, t.var, lc.Var(renamed))
             return type(t)(renamed, _subst(body, name, repl))
-    return t.rebuild(tuple(map(_subst, t.children(), repeat(name), repeat(repl))))
+    return _orient(t.rebuild(tuple(map(_subst, t.children(), repeat(name), repeat(repl)))))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .core import Entity, Number, Value, render_value, value_sort_key
-from .errors import BadObject, BadSubject, MalformedLine
+from .errors import BadObject, BadSubject, KbFormatError, MalformedLine
 from .parser import KEYWORDS
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:.]*\Z")
@@ -186,8 +186,21 @@ def load_kb(source) -> KnowledgeBase:
 
 
 def load_kb_file(path) -> KnowledgeBase:
-    with open(path, encoding="utf-8") as handle:
-        return load_kb(handle)
+    """Load a knowledge base from a UTF-8 file.
+
+    A byte sequence that is not UTF-8 is a KbFormatError at its line.
+    Lines end at "\n", "\r\n" or a lone "\r", as in text mode.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]
+        line_number = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        message = f"not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+        raise KbFormatError(line_number, message) from None
+    return load_kb(io.StringIO(text, newline=None))
 
 
 def dump_kb(kb: KnowledgeBase) -> str:

@@ -6,6 +6,12 @@ or a superlative with a plain property degree. Everything else (bound
 variables, computed binaries, aggregates below the root, negation with
 nothing positive beside it) raises UnsupportedConstruct.
 
+`!` is a complement against the entity domain, the IRIs that occur as a
+subject or object in the graph. A group with a negated part keeps only
+members of that domain: a join that puts the group's variable in a
+triple's subject place does so already, and without one the group gets
+an isIRI filter and an EXISTS over both places.
+
 Output is deterministic: the target variable is always ?x, helper
 variables are numbered in order of first use, indentation is two spaces
 per block.
@@ -123,6 +129,10 @@ def _group(em: _Emitter, u, subj: str) -> None:
         raise UnsupportedConstruct("negation with no positive pattern beside it")
     for part in positives:
         _positive(em, part, subj)
+    if negatives and not any(map(_binds_subject, positives)):
+        p1, o1, s2, p2 = em.fresh(), em.fresh(), em.fresh(), em.fresh()
+        em.emit(f"FILTER(isIRI({subj}))")
+        em.emit(f"FILTER EXISTS {{ {{ {subj} {p1} {o1} }} UNION {{ {s2} {p2} {subj} }} }}")
     for part in negatives:
         em.emit("FILTER NOT EXISTS {")
         em.depth += 1
@@ -135,6 +145,23 @@ def _flatten_intersect(u) -> list:
     if isinstance(u, Intersect):
         return _flatten_intersect(u.left) + _flatten_intersect(u.right)
     return [u]
+
+
+def _binds_subject(u) -> bool:
+    """Whether u's pattern is a triple with its variable as the subject."""
+    if not isinstance(u, Join):
+        return False
+    binary, reverse = _strip_reverse(u.binary)
+    return not reverse and isinstance(binary, Property)
+
+
+def _strip_reverse(binary):
+    """The binary under any number of R[...], and whether that number is odd."""
+    reverse = False
+    while isinstance(binary, Reverse):
+        reverse = not reverse
+        binary = binary.inner
+    return binary, reverse
 
 
 def _positive(em: _Emitter, u, subj: str) -> None:
@@ -173,11 +200,7 @@ def _flatten_union(u) -> list:
 
 
 def _join(em: _Emitter, u: Join, subj: str) -> None:
-    binary = u.binary
-    reverse = False
-    while isinstance(binary, Reverse):
-        reverse = not reverse
-        binary = binary.inner
+    binary, reverse = _strip_reverse(u.binary)
     if isinstance(binary, Lambda):
         raise UnsupportedConstruct("a join through a computed binary")
     if not isinstance(binary, Property):

@@ -100,6 +100,39 @@ def test_check_without_kb_fails(capsys):
     assert code == 1 and "needs a KB" in err
 
 
+def test_check_refuses_an_empty_kb(capsys, tmp_path):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# nothing here\n", encoding="utf-8")
+    for path in (os.devnull, str(empty)):
+        code, out, err = run(capsys, "check", "-k", path, "--trials", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1, 3000])
+def test_check_refuses_a_depth_outside_the_nesting_limit(capsys, depth):
+    code, out, err = run(capsys, "check", "-k", KB, "--trials", "3", "--depth", str(depth))
+    assert code == 1 and out == ""
+    assert err == f"error: --depth must be between 0 and {MAX_DEPTH}\n"
+
+
+def test_check_accepts_depth_zero(capsys):
+    code, out, _ = run(capsys, "check", "-k", KB, "--trials", "5", "--depth", "0")
+    assert code == 0 and out.strip() == "trials=5 mismatches=0"
+
+
+_NOT_UTF8 = b"Alice\tType\tPerson\n\xff\n"
+
+
+def test_eval_on_a_kb_that_is_not_utf8_names_the_line(capsys, tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(_NOT_UTF8)
+    code, out, err = run(capsys, "eval", "-k", str(bad), "Alice")
+    assert code == 1 and out == ""
+    assert err == "error: line 2: not valid UTF-8 (byte 0xff)\n"
+
+
 def _run_repl(monkeypatch, capsys, lines, *argv):
     stdin = io.StringIO("".join(line + "\n" for line in lines))
     monkeypatch.setattr("sys.stdin", stdin)
@@ -150,6 +183,18 @@ def test_repl_load(monkeypatch, capsys, tmp_path):
     assert "no KB loaded" in err
     assert "loaded 1 triples" in out
     assert out.endswith("A\n")
+
+
+def test_repl_survives_loading_a_kb_that_is_not_utf8(monkeypatch, capsys, tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(_NOT_UTF8)
+    code, out, err = _run_repl(
+        monkeypatch, capsys,
+        [f":load {bad}", f":load {KB}", "PlaceOfBirth.Seattle"],
+    )
+    assert code == 0
+    assert "error: line 2: not valid UTF-8" in err and "Traceback" not in err
+    assert out.endswith("Alice\nCarol\n")
 
 
 def test_non_numeric_degree_names_the_same_value_every_run():
@@ -226,8 +271,8 @@ def _under(frames, fn):
 
 @pytest.mark.parametrize("kind", ["!", "(", "mu", "join", "R[", "count", "argmax"])
 def test_lc_at_the_limit_leaves_room_on_the_stack(capsys, kind):
-    # simplify stops on identity, so no comparison recurses through the
-    # term, and the translation runs with the caller's stack already deep.
+    # simplify is one pass and compares no terms, so the translation runs
+    # with the caller's stack already deep.
     text = _nested(kind, MAX_DEPTH)
     code, out, err = _under(200, lambda: run(capsys, "lc", text))
     assert code == 0 and err == ""

@@ -15,7 +15,7 @@ from ldcs import (
     well_formed,
 )
 from ldcs.convert import _simp
-from ldcs.lc import And, Const, Eq, Exists, Lam, Not, Pred, Var, free_vars
+from ldcs.lc import And, Const, Eq, Exists, Lam, Not, Or, Pred, Var, free_vars
 from ldcs.core import Entity
 
 
@@ -145,10 +145,66 @@ def test_translation_is_closed_and_well_formed(seed, depth):
     assert well_formed(simp)
 
 
-@given(st.integers(min_value=0, max_value=10**6))
-def test_simplify_is_idempotent(seed):
-    term = simplify(to_lc_unary(gen_term(seed, 4, _schema())))
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
+def test_simplify_is_idempotent(seed, depth):
+    term = simplify(to_lc_unary(gen_term(seed, depth, _schema())))
     assert simplify(term) == term
-    # At the fixpoint a pass rebuilds nothing, so simplify stops on identity.
+    # One pass is a fixpoint: another rebuilds nothing.
     assert _simp(term) is term
     assert simplify(term) is term
+
+
+def test_one_pass_orients_equations_made_by_substitution():
+    # exists y1 . ![y1 = x] & [y1 = Seattle]: substituting Seattle for y1
+    # leaves [Seattle = x], which the same pass turns round.
+    raw = conv("(lam y . !y).Seattle")
+    assert raw == parse_lc("lambda x . exists y1 . ![y1 = x] & [y1 = Seattle]")
+    assert _simp(raw) == parse_lc("lambda x . ![x = Seattle]")
+
+
+def test_substitution_orients_equations_under_binders():
+    # y := Seattle reaches [y = w] under a binder and [y = v] under a
+    # negation; both come out variable first in the same pass.
+    t = Exists("y", And(
+        And(Eq(Var("y"), Const(Entity("Seattle"))), Exists("w", Eq(Var("y"), Var("w")))),
+        Not(Eq(Var("y"), Var("v"))),
+    ))
+    assert _simp(t) == And(
+        Exists("w", Eq(Var("w"), Const(Entity("Seattle")))),
+        Not(Eq(Var("v"), Const(Entity("Seattle")))),
+    )
+
+
+_NAMES = ["x", "y", "z", "y1"]
+_ELEMENTS = st.one_of(
+    st.sampled_from(_NAMES).map(Var),
+    st.sampled_from(["A", "Seattle"]).map(lambda n: Const(Entity(n))),
+)
+_ATOMS = st.one_of(
+    st.builds(Eq, _ELEMENTS, _ELEMENTS),
+    st.builds(Pred, st.sampled_from(["P", "Q"]), _ELEMENTS, _ELEMENTS),
+)
+
+
+def _pinned(name, element, other, body):
+    """exists name . [name = element] & body & [name = other]: simplify
+    drops the binder and substitutes `element` for `name` in the rest."""
+    return Exists(name, And(And(Eq(Var(name), element), body), Eq(Var(name), other)))
+
+
+# Few names, so binders shadow one another and substitutions must rename.
+_TERMS = st.recursive(_ATOMS, lambda kids: st.one_of(
+    st.builds(And, kids, kids),
+    st.builds(Or, kids, kids),
+    st.builds(Not, kids),
+    st.builds(Exists, st.sampled_from(_NAMES), kids),
+    st.builds(_pinned, st.sampled_from(_NAMES), _ELEMENTS, _ELEMENTS, kids),
+    st.builds(Lam, st.sampled_from(_NAMES), kids),
+), max_leaves=12)
+
+
+@given(_TERMS)
+def test_one_pass_is_a_fixpoint_on_random_terms(t):
+    s = simplify(t)
+    assert _simp(s) is s
+    assert free_vars(s) <= free_vars(t)

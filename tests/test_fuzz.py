@@ -1,8 +1,11 @@
 """Arbitrary input to the parsers and the loader ends in a result or an LdcsError."""
 
+import os
+import tempfile
+
 from hypothesis import given, settings, strategies as st
 
-from ldcs import LdcsError, load_kb, parse_lc, parse_unary, resolve
+from ldcs import LdcsError, load_kb, load_kb_file, parse_lc, parse_unary, resolve
 
 
 def _soup(tokens):
@@ -67,3 +70,24 @@ def test_lambda_term_text_parses_or_raises_ldcs_error(text):
 @given(st.one_of(st.text(max_size=80), _soup(_KB_TOKENS)))
 def test_kb_text_loads_or_raises_ldcs_error(text):
     _kb(text)
+
+
+_KB_BYTES = [token.encode() for token in _KB_TOKENS] + [
+    b"\r", b"\r\n", b"\xff", b"\xc3", b"\xc3\xa9", b"\xe2\x82", b"\x80", b"\xed\xa0\x80",
+]
+
+
+@_SETTINGS
+@given(st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from(_KB_BYTES), max_size=40).map(b"".join),
+))
+def test_kb_file_bytes_load_or_raise_ldcs_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kb.tsv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        try:
+            load_kb_file(path)
+        except LdcsError:
+            pass

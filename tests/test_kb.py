@@ -9,12 +9,14 @@ from ldcs import (
     BadObject,
     BadSubject,
     Entity,
+    KbFormatError,
     MalformedLine,
     Number,
     Triple,
     dump_kb,
     from_triples,
     load_kb,
+    load_kb_file,
 )
 
 
@@ -41,6 +43,28 @@ def test_load_accepts_stream_comments_and_blanks():
     kb = load_kb(io.StringIO("# c\n\nA\tP\tB\nA\tP\t3\n"))
     assert len(kb) == 2
     assert kb.objects_of("P", Entity("A")) == {Entity("B"), Number(3)}
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"Alice\tType\tPerson\n\xff\n", 2),
+    (b"# caf\xc3\n", 1),  # a cut-off sequence, even in a comment
+    (b"A\tP\tB\r\n\r\nA\tP\t\xe9\n", 3),
+    (b"A\tP\tB\rA\tP\tC\r\x80", 3),
+])
+def test_file_that_is_not_utf8_fails_at_its_line(tmp_path, data, line):
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(data)
+    with pytest.raises(KbFormatError) as exc:
+        load_kb_file(path)
+    assert exc.value.line_number == line
+    assert "not valid UTF-8" in str(exc.value)
+
+
+def test_file_lines_end_as_in_text_mode(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(b"A\tP\tB\r\nA\tP\tC\rA\tP\t3\n")
+    kb = load_kb_file(path)
+    assert kb.objects_of("P", Entity("A")) == {Entity("B"), Entity("C"), Number(3)}
 
 
 def test_load_from_string():

@@ -22,6 +22,12 @@ GOLDEN_CASES = [
     ("prefixed.rq", "PlaceOfBirth.Seattle", "http://example.org/"),
     ("union_negation.rq",
      "Profession.Scientist | Type.City & !PlaceOfBirth.Seattle", None),
+    # `!` complements against the entity domain: without a join binding ?x
+    # as a subject, the group keeps only the IRIs that occur in the graph.
+    ("negation_reverse.rq", "R[Area].Oregon & !Seattle", None),
+    ("negation_number.rq", "164 & !Seattle", None),
+    ("negation_unknown_entity.rq", "Nowhere & !Seattle", None),
+    ("negation_union.rq", "(R[Area].Oregon | Seattle) & !Alice", None),
 ]
 
 
