@@ -1,10 +1,11 @@
 """Executable lambda DCS: parse, evaluate, translate, verify, compile.
 
-The pieces fit together like this: `parse_unary` + `resolve` read the
-concrete syntax into a typed tree; `eval_unary` gives its set denotation
-over a KB; `to_lc_unary` + `simplify` translate it into an explicit
-lambda term; `lc_eval` evaluates that term by brute force so the two
-semantics can be checked against each other; `compile_sparql` renders
+The pieces fit together like this: `parse_unary` reads the concrete
+syntax into a typed tree, classifying each name by where it stands, and
+`resolve` checks its properties against a KB; `eval_unary` gives its set
+denotation over a KB; `to_lc_unary` + `simplify` translate it into an
+explicit lambda term; `lc_eval` evaluates that term by brute force so the
+two semantics can be checked against each other; `compile_sparql` renders
 the database-friendly subset as a query.
 """
 

@@ -6,8 +6,9 @@
     ldcs check -k KB [options]         random agreement check
     ldcs repl [-k KB]                  interactive loop
 
-Exit codes: 0 success, 1 bad input (syntax, resolution, KB loading),
-2 evaluation error, 3 construct outside the SPARQL subset.
+Exit codes: 0 success, 1 bad input (syntax, resolution, KB loading, an
+argument out of range), 2 evaluation error, 3 construct outside the SPARQL
+subset.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .evaluator import eval_unary
 from .kb import load_kb_file
 from .lc import format_lc
 from .oracle import check_equivalence
-from .parser import MAX_DEPTH, parse_unary, resolve
+from .parser import parse_unary, resolve
 from .sparql import compile_sparql
 
 _BAD_INPUT = 1
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ResolveError, KbFormatError, OSError) as exc:
+    except (ParseError, ResolveError, KbFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _BAD_INPUT
     except EvalError as exc:
@@ -81,17 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_resolved(text: str, kb=None, strict: bool = False):
-    return resolve(parse_unary(text), kb, strict=strict)
-
-
 def _sorted_values(values) -> list:
     return sorted(values, key=value_sort_key)
 
 
 def _cmd_eval(args) -> int:
     kb = load_kb_file(args.kb)
-    u = _parse_resolved(args.expr, kb, strict=True)
+    u = resolve(parse_unary(args.expr), kb, strict=True)
     values = _sorted_values(eval_unary(u, kb))
     if args.json:
         payload = [v.n if isinstance(v, Number) else v.entity_id for v in values]
@@ -103,7 +100,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_lc(args) -> int:
-    u = _parse_resolved(args.expr)
+    u = parse_unary(args.expr)
     term = to_lc_unary(u)
     if not args.raw:
         term = simplify(term)
@@ -112,7 +109,7 @@ def _cmd_lc(args) -> int:
 
 
 def _cmd_sparql(args) -> int:
-    u = _parse_resolved(args.expr)
+    u = parse_unary(args.expr)
     sys.stdout.write(compile_sparql(u, prefix=args.prefix))
     return 0
 
@@ -124,13 +121,7 @@ def _cmd_check(args) -> int:
     if not args.kb:
         print("error: --trials above zero needs a KB (-k)", file=sys.stderr)
         return _BAD_INPUT
-    if not 0 <= args.depth <= MAX_DEPTH:
-        print(f"error: --depth must be between 0 and {MAX_DEPTH}", file=sys.stderr)
-        return _BAD_INPUT
     kb = load_kb_file(args.kb)
-    if not len(kb):
-        print("error: the KB has no triples to draw forms from", file=sys.stderr)
-        return _BAD_INPUT
     report = check_equivalence(kb, args.trials, max_depth=args.depth, seed=args.seed)
     print(report.render())
     return 0 if report.ok else _EVAL_ERROR
@@ -156,10 +147,10 @@ def _cmd_repl(args) -> int:
                 kb = load_kb_file(line[len(":load "):].strip())
                 print(f"loaded {len(kb)} triples")
             elif line.startswith(":lc "):
-                u = _parse_resolved(line[len(":lc "):])
+                u = parse_unary(line[len(":lc "):])
                 print(format_lc(simplify(to_lc_unary(u))))
             elif line.startswith(":sparql "):
-                u = _parse_resolved(line[len(":sparql "):])
+                u = parse_unary(line[len(":sparql "):])
                 sys.stdout.write(compile_sparql(u))
             elif line.startswith(":"):
                 print(f"error: unknown command {line.split()[0]}", file=sys.stderr)
@@ -167,7 +158,7 @@ def _cmd_repl(args) -> int:
                 if kb is None:
                     print("error: no KB loaded (use :load PATH)", file=sys.stderr)
                     continue
-                u = _parse_resolved(line, kb, strict=True)
+                u = resolve(parse_unary(line), kb, strict=True)
                 for v in _sorted_values(eval_unary(u, kb)):
                     print(render_value(v))
         except (LdcsError, OSError) as exc:

@@ -160,7 +160,7 @@ def _simp(t: lc.LCTerm) -> lc.LCTerm:
     t = t.rebuild(tuple(map(_simp, kids)))
     if kind is lc.And and type(t.right) is lc.And:
         # Each side is a left-associated chain by now; join them into one.
-        return reduce(lc.And, _conjuncts(t))
+        return reduce(lc.And, core.operands(t, lc.And))
     return _orient(t)
 
 
@@ -169,12 +169,6 @@ def _orient(t: lc.LCTerm) -> lc.LCTerm:
     if type(t) is lc.Eq and type(t.right) is lc.Var and type(t.left) is not lc.Var:
         return lc.Eq(t.right, t.left)
     return t
-
-
-def _conjuncts(t: lc.LCTerm) -> list:
-    if isinstance(t, lc.And):
-        return _conjuncts(t.left) + _conjuncts(t.right)
-    return [t]
 
 
 def _witness(var: str, conjunct: lc.LCTerm):
@@ -192,7 +186,7 @@ def _witness(var: str, conjunct: lc.LCTerm):
 
 def _eliminate_exists(var: str, body: lc.LCTerm):
     """exists var . body with a pinning equation becomes the body itself."""
-    parts = _conjuncts(body)
+    parts = core.operands(body, lc.And)
     if len(parts) < 2:
         return None
     for i, part in enumerate(parts):

@@ -200,6 +200,21 @@ def subterms(t: Node):
         stack.extend(t.children())
 
 
+def operands(t: Node, kind: type) -> list:
+    """The operands, left to right, of the chain of `kind` nodes rooted
+    at t: the nodes below it that are not `kind`, or [t] if t is not."""
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, kind):
+            # Reversed, so that the leftmost child is popped first.
+            stack.extend(reversed(t.children()))
+        else:
+            out.append(t)
+    return out
+
+
 def free_vars(t: Node) -> frozenset[str]:
     """Variable names referenced by `t` but not bound inside it."""
     out = set()

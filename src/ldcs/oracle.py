@@ -16,7 +16,7 @@ from .convert import simplify, to_lc_unary
 from .errors import IllTyped, NonNumericDegree, UnboundVariable
 from .evaluator import eval_unary
 from .kb import KnowledgeBase
-from .parser import format_unary
+from .parser import MAX_DEPTH, format_unary
 
 __all__ = [
     "lc_eval",
@@ -239,7 +239,12 @@ class GenSchema:
 
 
 def gen_term(seed: int, max_depth: int, schema: GenSchema) -> core.UnaryForm:
-    """A random closed unary form, deterministic in the seed."""
+    """A random closed unary form, deterministic in the seed. Raises
+    ValueError for a depth outside 0..MAX_DEPTH or a schema with no entities."""
+    if not 0 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"--depth must be between 0 and {MAX_DEPTH}")
+    if not schema.entities:
+        raise ValueError("the KB has no triples to draw forms from")
     rng = random.Random(seed)
     return _gen_unary(rng, schema, max_depth, scope=(), agg_ok=True)
 

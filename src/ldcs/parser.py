@@ -14,9 +14,12 @@ Identifiers may contain ':' for namespacing. A '.' always acts as the join
 operator, so a dotted name like `Children.PlaceOfBirth.Seattle` reads as a
 join chain; identifiers themselves cannot contain dots in expression text.
 
-Parsing produces a raw tree whose leaves are Unresolved names; `resolve`
-classifies each leaf as a variable, entity, or property from its position
-and the binders in scope.
+Where a name stands decides what it is, and the parser classifies each
+name as it reads it: under an enclosing mu or lam binder of that name it
+is a Var; elsewhere an EntityLit in unary and a Property in binary
+position. A binder reusing an enclosing binder's name raises
+ShadowedVariable, and a bound name in binary position
+VariableInBinaryPosition. `resolve` then checks properties against a KB.
 
 Nesting is limited to MAX_DEPTH levels. Each `!`, join, parenthesis,
 binder, `R[`, `count(`, `argmax(` and `argmin(` opens one level; `&` and
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import repeat
 from typing import NamedTuple
 
 from .core import (
@@ -54,7 +56,6 @@ from .core import (
     UnaryForm,
     Union,
     Var,
-    node,
     render_value,
 )
 from .errors import (
@@ -68,20 +69,6 @@ from .errors import (
 KEYWORDS = {"mu", "lam", "count", "argmax", "argmin"}
 
 MAX_DEPTH = 100
-
-
-@node
-class UnresolvedUnary(UnaryForm):
-    """An identifier in unary position, not yet classified."""
-
-    name: str
-
-
-@node
-class UnresolvedBinary(BinaryForm):
-    """An identifier in binary position, not yet classified."""
-
-    name: str
 
 
 # --- lexing -------------------------------------------------------------------
@@ -217,6 +204,8 @@ class _Parser(Cursor):
     }, errors={"-": "an integer literal"})
     KEYWORDS = KEYWORDS
     MAX_DEPTH = MAX_DEPTH
+    # The names bound by the binders enclosing the current token.
+    scope: frozenset[str] = frozenset()
 
     def union(self) -> UnaryForm:
         left = self.inter()
@@ -273,16 +262,29 @@ class _Parser(Cursor):
             self.nest(tok)
             self.advance()
             self.advance()
-            name = self.binder_name()
-            self.expect("DOT", "'.' after lam binder")
-            body = self.union()
-            self.expect("RPAREN", "')' closing lam")
+            b = Lambda(*self._binder("lam"))
             self.depth -= 1
-            return Lambda(name, body)
+            return b
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+            if tok.text in self.scope:
+                raise VariableInBinaryPosition(tok.text)
             self.advance()
-            return UnresolvedBinary(tok.text)
+            return Property(tok.text)
         raise ParseError(tok.pos, "a binary form")
+
+    def _binder(self, word: str) -> tuple[str, UnaryForm]:
+        """The name and body of a `word` binder, read after its '(' and
+        keyword up to its ')'; the body is read with the name in scope."""
+        name = self.binder_name()
+        if name in self.scope:
+            raise ShadowedVariable(name)
+        self.expect("DOT", f"'.' after {word} binder")
+        outer = self.scope
+        self.scope = outer | {name}
+        body = self.union()
+        self.scope = outer
+        self.expect("RPAREN", f"')' closing {word}")
+        return name, body
 
     def primary(self) -> UnaryForm:
         tok = self.peek()
@@ -310,16 +312,13 @@ class _Parser(Cursor):
             if tok.text in KEYWORDS:
                 raise ParseError(tok.pos, f"a unary form (found keyword {tok.text!r})")
             self.advance()
-            return UnresolvedUnary(tok.text)
+            return Var(tok.text) if tok.text in self.scope else EntityLit(Entity(tok.text))
         if tok.kind == "LPAREN":
             self.nest(tok)
             if self.peek(1).kind == "IDENT" and self.peek(1).text == "mu":
                 self.advance()
                 self.advance()
-                name = self.binder_name()
-                self.expect("DOT", "'.' after mu binder")
-                u = Mu(name, self.union())
-                self.expect("RPAREN", "')' closing mu")
+                u = Mu(*self._binder("mu"))
             else:
                 self.advance()
                 u = self.union()
@@ -330,43 +329,37 @@ class _Parser(Cursor):
 
 
 def parse_unary(text: str) -> UnaryForm:
-    """Parse expression text into a raw tree with Unresolved leaves.
+    """Parse expression text into a form with every name classified.
 
-    Raises ParseError past MAX_DEPTH levels of nesting.
+    Raises ParseError on malformed text, past MAX_DEPTH levels of nesting
+    among others, and ShadowedVariable or VariableInBinaryPosition at the
+    first misused name.
     """
     parser = _Parser(text)
     return parser.whole(parser.union)
 
 
-# --- resolution -----------------------------------------------------------------
+# --- property check ------------------------------------------------------------
 
-def resolve(raw: UnaryForm, kb=None, strict: bool = False) -> UnaryForm:
-    """Classify Unresolved leaves as variables, entities, or properties.
+def resolve(form: UnaryForm, kb=None, strict: bool = False) -> UnaryForm:
+    """Check a parsed form against `kb` and return the form itself.
 
-    A name bound by an enclosing mu/lam binder becomes a Var; any other
-    unary-position name becomes an EntityLit; binary-position names become
-    Properties. With strict=True every property must exist in `kb`.
+    Parsing has classified every name already. With strict=True every
+    property must exist in `kb`: the first unknown one in text order
+    raises UnknownProperty.
     """
-    if strict and kb is None:
+    if not strict:
+        return form
+    if kb is None:
         raise ValueError("strict resolution needs a knowledge base")
-    return _resolve(raw, kb, strict, frozenset())
-
-
-def _resolve(f, kb, strict, scope):
-    if isinstance(f, UnresolvedUnary):
-        return Var(f.name) if f.name in scope else EntityLit(Entity(f.name))
-    if isinstance(f, UnresolvedBinary):
-        if f.name in scope:
-            raise VariableInBinaryPosition(f.name)
-        if strict and f.name not in kb.property_set:
+    stack = [form]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Property) and f.name not in kb.property_set:
             raise UnknownProperty(f.name)
-        return Property(f.name)
-    if f.binds:
-        if f.var in scope:
-            raise ShadowedVariable(f.var)
-        scope = scope | {f.var}
-    # map adds no Python frame per level, as a comprehension would
-    return f.rebuild(tuple(map(_resolve, f.children(), repeat(kb), repeat(strict), repeat(scope))))
+        # Reversed, so that the leftmost child is popped first.
+        stack.extend(reversed(f.children()))
+    return form
 
 
 # --- printing -------------------------------------------------------------------
@@ -408,7 +401,7 @@ def _fmt_unary(u, min_level) -> str:
         return f"{format_binary(u.binary)}.{_fmt_unary(u.unary, _UATOM)}"
     if isinstance(u, EntityLit):
         return render_value(u.value)
-    if isinstance(u, (Var, UnresolvedUnary)):
+    if isinstance(u, Var):
         return u.name
     if isinstance(u, Aggregate):
         return f"{u.op}({_fmt_unary(u.inner, _UNION)})"
@@ -420,7 +413,7 @@ def _fmt_unary(u, min_level) -> str:
 
 
 def format_binary(b: BinaryForm) -> str:
-    if isinstance(b, (Property, UnresolvedBinary)):
+    if isinstance(b, Property):
         return b.name
     if isinstance(b, Reverse):
         return f"R[{format_binary(b.inner)}]"

@@ -19,6 +19,8 @@ per block.
 
 from __future__ import annotations
 
+import re
+
 from .core import (
     Aggregate,
     Entity,
@@ -34,10 +36,15 @@ from .core import (
     Superlative,
     Union,
     Var,
+    operands,
 )
 from .errors import UnsupportedConstruct
 
 __all__ = ["compile_sparql"]
+
+# What the IRIREF rule of SPARQL 1.1 (grammar rule [139]) forbids between
+# the angle brackets of an IRI.
+_NOT_IN_IRI = re.compile(r'[<>"{}|^`\\\x00-\x20]')
 
 
 class _Emitter:
@@ -67,7 +74,11 @@ class _Emitter:
 
 
 def compile_sparql(u, prefix: str | None = None) -> str:
-    """Render a resolved unary form as a SELECT query for ?x."""
+    """Render a resolved unary form as a SELECT query for ?x. A prefix
+    holding a character that an IRI cannot raises ValueError."""
+    bad = _NOT_IN_IRI.search(prefix) if prefix is not None else None
+    if bad:
+        raise ValueError(f"an IRI prefix cannot hold {bad.group()!r}")
     em = _Emitter(prefix)
     em.emit("SELECT DISTINCT ?x WHERE {")
     em.depth += 1
@@ -123,7 +134,7 @@ def _group(em: _Emitter, u, subj: str) -> None:
     """Emit triple patterns binding `subj` to the members of u."""
     positives = []
     negatives = []
-    for part in _flatten_intersect(u):
+    for part in operands(u, Intersect):
         (negatives if isinstance(part, Negate) else positives).append(part)
     if not positives:
         raise UnsupportedConstruct("negation with no positive pattern beside it")
@@ -139,12 +150,6 @@ def _group(em: _Emitter, u, subj: str) -> None:
         _group(em, part.inner, subj)
         em.depth -= 1
         em.emit("}")
-
-
-def _flatten_intersect(u) -> list:
-    if isinstance(u, Intersect):
-        return _flatten_intersect(u.left) + _flatten_intersect(u.right)
-    return [u]
 
 
 def _binds_subject(u) -> bool:
@@ -172,8 +177,7 @@ def _positive(em: _Emitter, u, subj: str) -> None:
         _join(em, u, subj)
         return
     if isinstance(u, Union):
-        branches = _flatten_union(u)
-        for i, branch in enumerate(branches):
+        for i, branch in enumerate(operands(u, Union)):
             if i:
                 em.emit("UNION")
             em.emit("{")
@@ -191,12 +195,6 @@ def _positive(em: _Emitter, u, subj: str) -> None:
     if isinstance(u, Superlative):
         raise UnsupportedConstruct("a superlative below the root")
     raise UnsupportedConstruct(type(u).__name__)
-
-
-def _flatten_union(u) -> list:
-    if isinstance(u, Union):
-        return _flatten_union(u.left) + _flatten_union(u.right)
-    return [u]
 
 
 def _join(em: _Emitter, u: Join, subj: str) -> None:

@@ -78,6 +78,20 @@ def test_sparql_command(capsys):
     assert "<http://example.org/PlaceOfBirth>" in out
 
 
+def test_sparql_refuses_a_prefix_that_would_inject_text(capsys):
+    code, out, err = run(capsys, "sparql", "Type.City",
+                         "--prefix", "http://x/> } . ?s ?p ?o { <")
+    assert code == 1 and out == ""
+    assert err == "error: an IRI prefix cannot hold '>'\n"
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_sparql_on_a_long_flat_chain(capsys, op):
+    code, out, err = run(capsys, "sparql", f" {op} ".join(["Type.City"] * 5000))
+    assert code == 0 and err == ""
+    assert out.count("?x :Type :City .") == 5000
+
+
 def test_sparql_unsupported_exit_code(capsys):
     code, _, err = run(capsys, "sparql", "(mu x . Children.Influenced.x)")
     assert code == 3 and "cannot compile" in err

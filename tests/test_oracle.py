@@ -15,6 +15,7 @@ from ldcs import (
     check_equivalence,
     gen_term,
     lc_eval,
+    load_kb,
     parse_lc,
     parse_unary,
     resolve,
@@ -129,6 +130,19 @@ def test_check_equivalence_report(kb):
     assert report.ok
     assert report.trials == 40
     assert report.render() == "trials=40 mismatches=0"
+
+
+def test_check_equivalence_refuses_what_gen_term_cannot_draw(kb):
+    from ldcs.parser import MAX_DEPTH
+
+    for depth in (-1, MAX_DEPTH + 1, 3000):
+        with pytest.raises(ValueError, match=f"between 0 and {MAX_DEPTH}"):
+            check_equivalence(kb, 3, max_depth=depth)
+    with pytest.raises(ValueError, match="no triples"):
+        check_equivalence(load_kb(""), 3)
+    with pytest.raises(ValueError, match="no triples"):
+        gen_term(0, 2, GenSchema.from_kb(load_kb("")))
+    assert gen_term(0, MAX_DEPTH, GenSchema.from_kb(kb))
 
 
 def test_check_report_renders_mismatches(kb):

@@ -26,7 +26,6 @@ from ldcs import (
     parse_unary,
     resolve,
 )
-from ldcs.parser import UnresolvedBinary, UnresolvedUnary
 
 
 def rparse(text, kb=None, strict=False):
@@ -155,9 +154,9 @@ def test_int_literal_range():
     assert rparse(str(big - 1)) == EntityLit(Number(big - 1))
 
 
-def test_raw_leaves_before_resolution():
-    raw = parse_unary("Border.x")
-    assert raw == Join(UnresolvedBinary("Border"), UnresolvedUnary("x"))
+def test_leaves_resolved_while_parsing():
+    u = parse_unary("Border.x")
+    assert u == Join(Property("Border"), EntityLit(Entity("x")))
 
 
 def test_resolution_scope():
@@ -179,6 +178,38 @@ def test_resolution_errors():
         rparse("(mu x . x.Seattle)")
     with pytest.raises(ValueError):
         rparse("Seattle", kb=None, strict=True)
+
+
+def test_parser_raises_resolution_errors():
+    # Raised at the misused name, before the syntax error after it.
+    with pytest.raises(ShadowedVariable) as exc:
+        parse_unary("(mu x . (lam x . x).Dave) &")
+    assert exc.value.name == "x"
+    with pytest.raises(VariableInBinaryPosition) as exc:
+        parse_unary("(mu y . argmax(Seattle, y)) |")
+    assert exc.value.name == "y"
+    # A binder's name is in scope in its body only.
+    assert parse_unary("(mu x . Seattle) & (mu x . x) & x.y") == Intersect(
+        Intersect(Mu("x", EntityLit(Entity("Seattle"))), Mu("x", Var("x"))),
+        Join(Property("x"), EntityLit(Entity("y"))),
+    )
+
+
+def test_resolve_returns_its_input(kb):
+    u = parse_unary("(mu x . PlaceOfBirth.x)")
+    assert resolve(u) is u
+    assert resolve(u, kb, strict=True) is u
+
+
+@pytest.mark.parametrize("text, first", [
+    ("Nope.Zap.Seattle", "Nope"),
+    ("Nope.a & Zap.b", "Nope"),
+    ("argmax(Zap.a, Nope)", "Zap"),
+])
+def test_unknown_property_is_the_first_in_text_order(kb, text, first):
+    with pytest.raises(UnknownProperty) as exc:
+        rparse(text, kb, strict=True)
+    assert exc.value.name == first
 
 
 def test_strict_resolution_checks_properties(kb):

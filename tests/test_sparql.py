@@ -70,3 +70,18 @@ def test_double_negation_needs_an_anchor():
     u = resolve(parse_unary("Type.City & !!Type.City"))
     with pytest.raises(UnsupportedConstruct):
         compile_sparql(u)
+
+
+def test_prefix_refuses_what_an_iri_cannot_hold():
+    # The characters SPARQL 1.1's IRIREF rule forbids, anywhere in the prefix.
+    u = resolve(parse_unary("Type.City"))
+    for bad in list('<>"{}|^`\\') + [chr(c) for c in range(0x21)]:
+        with pytest.raises(ValueError) as exc:
+            compile_sparql(u, prefix=f"http://x/{bad}y/")
+        assert repr(bad) in str(exc.value)
+
+
+def test_prefix_may_hold_other_characters():
+    u = resolve(parse_unary("Type.City"))
+    query = compile_sparql(u, prefix="http://example.org/a-b_c~d?e=f#é/")
+    assert "<http://example.org/a-b_c~d?e=f#é/Type>" in query

@@ -6,7 +6,6 @@ import pytest
 
 from ldcs import core, lc
 from ldcs.core import BinaryForm, Entity, Number, UnaryForm
-from ldcs.parser import UnresolvedBinary, UnresolvedUnary
 
 A = core.EntityLit(Entity("A"))
 P = core.Property("P")
@@ -28,8 +27,6 @@ SAMPLES = [
     (core.Property("P"), ()),
     (core.Reverse(P), ("inner",)),
     (core.Lambda("v", A), ("body",)),
-    (UnresolvedUnary("a"), ()),
-    (UnresolvedBinary("p"), ()),
     (lc.Var("x"), ()),
     (lc.Const(Entity("A")), ()),
     (lc.Pred("P", X, C), ("arg1", "arg2")),
