@@ -9,6 +9,10 @@
 Exit codes: 0 success, 1 bad input (syntax, resolution, KB loading, an
 argument out of range), 2 evaluation error, 3 construct outside the SPARQL
 subset.
+
+Each command imports the modules it runs, in its own function: a cold
+`ldcs eval` loads neither the translation (`convert`, `lc`), the oracle
+nor the SPARQL compiler.
 """
 
 from __future__ import annotations
@@ -17,15 +21,11 @@ import argparse
 import json
 import sys
 
-from .convert import simplify, to_lc_unary
 from .core import Number, render_value, value_sort_key
 from .errors import EvalError, KbFormatError, LdcsError, ParseError, ResolveError, UnsupportedConstruct
 from .evaluator import eval_unary
 from .kb import load_kb_file
-from .lc import format_lc
-from .oracle import check_equivalence
 from .parser import parse_unary, resolve
-from .sparql import compile_sparql
 
 _BAD_INPUT = 1
 _EVAL_ERROR = 2
@@ -100,6 +100,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_lc(args) -> int:
+    from .convert import simplify, to_lc_unary
+    from .lc import format_lc
+
     u = parse_unary(args.expr)
     term = to_lc_unary(u)
     if not args.raw:
@@ -109,12 +112,16 @@ def _cmd_lc(args) -> int:
 
 
 def _cmd_sparql(args) -> int:
+    from .sparql import compile_sparql
+
     u = parse_unary(args.expr)
     sys.stdout.write(compile_sparql(u, prefix=args.prefix))
     return 0
 
 
 def _cmd_check(args) -> int:
+    from .oracle import check_equivalence
+
     if args.trials <= 0:
         print("trials=0 mismatches=0")
         return 0
@@ -147,9 +154,14 @@ def _cmd_repl(args) -> int:
                 kb = load_kb_file(line[len(":load "):].strip())
                 print(f"loaded {len(kb)} triples")
             elif line.startswith(":lc "):
+                from .convert import simplify, to_lc_unary
+                from .lc import format_lc
+
                 u = parse_unary(line[len(":lc "):])
                 print(format_lc(simplify(to_lc_unary(u))))
             elif line.startswith(":sparql "):
+                from .sparql import compile_sparql
+
                 u = parse_unary(line[len(":sparql "):])
                 sys.stdout.write(compile_sparql(u))
             elif line.startswith(":"):

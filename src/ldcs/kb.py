@@ -8,9 +8,11 @@ ones a query can write: no '.' (the join operator) and no keyword.
 
 from __future__ import annotations
 
+import gc
 import io
 import re
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -74,31 +76,49 @@ class KnowledgeBase:
         return len(self.triples)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its prior state.
+
+    A load builds a few tracked objects per triple (the triple, its index
+    sets and dicts), and the collector would otherwise rescan the ones
+    already built again and again while the rest are being built.
+    """
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
+
+
 def from_triples(triples) -> KnowledgeBase:
     """A KB of `Triple`s, or of (subject, property, object) tuples whose
     subjects are entities."""
-    tset = frozenset(triples)
-    by_property: dict[str, list] = {}
-    for t in tset:
-        by_property.setdefault(t[1], []).append(t)
-    forward = {p: _group((s, o) for s, _, o in ts) for p, ts in by_property.items()}
-    backward = {p: _group((o, s) for s, _, o in ts) for p, ts in by_property.items()}
-    domain = set().union(*forward.values())
-    domain.update(o for objs in backward.values() for o in objs if isinstance(o, Entity))
-    return KnowledgeBase(
-        triples=tset,
-        forward=forward,
-        backward=backward,
-        entity_domain=frozenset(domain),
-        property_set=frozenset(forward),
-    )
+    with _collector_paused():
+        tset = frozenset(triples)
+        by_property: dict[str, list] = {}
+        for t in tset:
+            by_property.setdefault(t[1], []).append(t)
+        forward = {p: _group((s, o) for s, _, o in ts) for p, ts in by_property.items()}
+        backward = {p: _group((o, s) for s, _, o in ts) for p, ts in by_property.items()}
+        domain = set().union(*forward.values())
+        domain.update(o for objs in backward.values() for o in objs if isinstance(o, Entity))
+        return KnowledgeBase(
+            triples=tset,
+            forward=forward,
+            backward=backward,
+            entity_domain=frozenset(domain),
+            property_set=frozenset(forward),
+        )
 
 
 def _group(pairs) -> dict:
     """{k: frozenset of the v paired with k} for distinct (k, v) pairs."""
     # A group holds its first value bare and becomes a list at its second:
     # most groups have one value, and a list for each would be as many
-    # more objects for the cyclic garbage collector to scan while loading.
+    # more objects to build and then free.
     groups: dict = {}
     for k, v in pairs:
         got = groups.setdefault(k, v)
@@ -157,32 +177,33 @@ def load_kb(source) -> KnowledgeBase:
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    subjects: dict[str, Entity] = {}
-    props: dict[str, str] = {}
-    objects: dict[str, Value] = {}
-    triples = []
-    for line_number, raw in enumerate(source, start=1):
-        line = raw.rstrip("\r\n")
-        stripped = line.lstrip()
-        if not stripped or stripped[0] == "#":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(
-                line_number, f"expected 3 tab-separated fields, got {len(fields)}"
-            )
-        subj_tok, prop_tok, obj_tok = fields
-        s = subjects.get(subj_tok)
-        if s is None:
-            s = subjects[subj_tok] = _parse_subject(subj_tok, line_number)
-        p = props.get(prop_tok)
-        if p is None:
-            p = props[prop_tok] = _parse_property(prop_tok, line_number)
-        o = objects.get(obj_tok)
-        if o is None:
-            o = objects[obj_tok] = _parse_object(obj_tok, line_number)
-        triples.append(tuple.__new__(Triple, (s, p, o)))
-    return from_triples(triples)
+    with _collector_paused():
+        subjects: dict[str, Entity] = {}
+        props: dict[str, str] = {}
+        objects: dict[str, Value] = {}
+        triples = []
+        for line_number, raw in enumerate(source, start=1):
+            line = raw.rstrip("\r\n")
+            stripped = line.lstrip()
+            if not stripped or stripped[0] == "#":
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise MalformedLine(
+                    line_number, f"expected 3 tab-separated fields, got {len(fields)}"
+                )
+            subj_tok, prop_tok, obj_tok = fields
+            s = subjects.get(subj_tok)
+            if s is None:
+                s = subjects[subj_tok] = _parse_subject(subj_tok, line_number)
+            p = props.get(prop_tok)
+            if p is None:
+                p = props[prop_tok] = _parse_property(prop_tok, line_number)
+            o = objects.get(obj_tok)
+            if o is None:
+                o = objects[obj_tok] = _parse_object(obj_tok, line_number)
+            triples.append(tuple.__new__(Triple, (s, p, o)))
+        return from_triples(triples)
 
 
 def load_kb_file(path) -> KnowledgeBase:

@@ -1,5 +1,6 @@
 """TSV loading, validation, indexing, round-tripping."""
 
+import gc
 import io
 import random
 
@@ -186,3 +187,57 @@ def test_names_close_to_keywords_load():
     kb = load_kb("fb:en\tR\tcounts\nmu_1\targmin2\tLam\n")
     assert len(kb) == 2
     assert kb.objects_of("R", Entity("fb:en")) == {Entity("counts")}
+
+
+# --- the cyclic collector during a load ----------------------------------------
+
+def _watched(items, seen):
+    """The items, noting whether the collector is on as each is read."""
+    for item in items:
+        seen.append(gc.isenabled())
+        yield item
+
+
+@pytest.fixture
+def collector():
+    """Leave the collector on after the test, whatever the test did."""
+    yield
+    gc.enable()
+
+
+def test_load_pauses_the_collector_and_turns_it_back_on(collector):
+    gc.enable()
+    seen = []
+    kb = load_kb(_watched(["A\tP\tB\n", "B\tP\t7\n"], seen))
+    assert len(kb) == 2 and seen == [False, False]
+    assert gc.isenabled()
+
+    seen.clear()
+    from_triples(_watched([Triple(Entity("A"), "P", Entity("B"))], seen))
+    assert seen == [False] and gc.isenabled()
+
+
+def test_load_that_fails_turns_the_collector_back_on(collector):
+    gc.enable()
+    with pytest.raises(MalformedLine):
+        load_kb("A\tP\tB\nA\tP\n")
+    assert gc.isenabled()
+
+    def broken():
+        yield Triple(Entity("A"), "P", Entity("B"))
+        raise OSError("stream broke")
+
+    with pytest.raises(OSError):
+        from_triples(broken())
+    assert gc.isenabled()
+
+
+def test_load_leaves_a_paused_collector_paused(collector):
+    gc.disable()
+    load_kb("A\tP\tB\n")
+    assert not gc.isenabled()
+    with pytest.raises(MalformedLine):
+        load_kb("A\tP\n")
+    assert not gc.isenabled()
+    from_triples([Triple(Entity("A"), "P", Entity("B"))])
+    assert not gc.isenabled()
