@@ -70,8 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="random agreement check of both semantics")
     p_check.add_argument("-k", "--kb", help="path to a TSV triple file")
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--depth", type=int, default=4)
+    p_check.add_argument("--trials", type=int, default=100, help="forms to check (default 100)")
+    p_check.add_argument(
+        "--depth", type=int, default=4,
+        help="nesting depth of the forms, 0 to 100 (default 4); the cost grows "
+        "exponentially with it: 20 trials on the fixture KB took 0.01 s at "
+        "depth 4, 0.9 s at 12 and 18 s at 16",
+    )
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check)
 
@@ -122,7 +127,9 @@ def _cmd_sparql(args) -> int:
 def _cmd_check(args) -> int:
     from .oracle import check_equivalence
 
-    if args.trials <= 0:
+    if args.trials < 0:
+        raise ValueError("--trials must be at least 0")
+    if args.trials == 0:
         print("trials=0 mismatches=0")
         return 0
     if not args.kb:

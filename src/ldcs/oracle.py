@@ -2,14 +2,18 @@
 generator and an agreement checker.
 
 `lc_eval` evaluates a translated term by exhaustive enumeration over finite
-domains, with no reference to the direct evaluator. `check_equivalence`
-generates random forms, runs both semantics, and reports any disagreement.
+domains, with no reference to the direct evaluator or the KB's indexes: a
+predicate is a membership test in `kb.triples`. It compiles the term once
+per call into closures of the environment and runs those.
+`check_equivalence` generates random forms, runs both semantics, and
+reports any disagreement.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import core, lc
 from .convert import simplify, to_lc_unary
@@ -41,166 +45,314 @@ def lc_eval(term: lc.Lam, kb: KnowledgeBase) -> frozenset:
     ev = _OracleEval(term, kb)
     if isinstance(term.body, lc.Lam) and _is_formula(term.body.body):
         return ev.pair_set(term)
-    return ev.value_set(term, {})
+    return ev.value_set(term, frozenset())({})
+
+
+_FORMULAS = (lc.Pred, lc.Eq, lc.And, lc.Or, lc.Not, lc.Exists, lc.In)
 
 
 def _is_formula(t) -> bool:
-    return isinstance(t, (lc.Pred, lc.Eq, lc.And, lc.Or, lc.Not, lc.Exists, lc.In))
+    return isinstance(t, _FORMULAS)
 
 
 class _OracleEval:
-    """Enumeration is exponential in nesting depth, so set-valued subterms
-    (count sets, superlative winners) are memoized per binding of their
-    free variables; the memo keys subterms by identity, which is stable
-    for the lifetime of one evaluation."""
+    """Compiles one term into closures of the environment, a dict from
+    variable names to values: a formula becomes `env -> bool`, an element
+    term `env -> value`, and a one-argument lambda or a superlative
+    application `env -> frozenset`. Each node is compiled knowing the
+    names its enclosing binders bind, so a variable reads the environment
+    directly. An unbound variable or an ill-typed subterm compiles to a
+    closure that raises `UnboundVariable` or `IllTyped` when it is
+    reached, and only then.
+
+    Every loop over candidates copies the environment once and sets its
+    variable in place. An existential tries the candidates in
+    `value_sort_key` order and stops at its first witness, so the work
+    does not depend on set order. Enumeration is exponential in nesting
+    depth, so existentials, one-argument lambdas and superlative
+    applications are memoized per binding of their free variables: the
+    free variables of every node are found in one walk of the term, and a
+    memo key is the values of those the node's scope binds. A memo
+    belongs to a node (by identity, stable while the term is alive) and
+    that set of names.
+    """
 
     def __init__(self, root: lc.LCTerm, kb: KnowledgeBase):
-        self.kb = kb
+        self._fv: dict = {}
+        self._count_subterms: dict = {}
+        self._constants: set = set()
+        self._scan(root)
         self.triples = kb.triples
-        self.base = frozenset(kb.entity_domain) | _constants(root)
-        # Exists stops at its first witness: trying candidates in a fixed
-        # order keeps the work independent of set order.
+        self.base = frozenset(kb.entity_domain).union(self._constants)
         self.candidates = tuple(sorted(self.base, key=core.value_sort_key))
         self.rich = self.base.union(*kb.backward.values())
-        self._memo: dict = {}
-        self._fv: dict = {}
-        self._counts: dict = {}
+        self._memos: dict = {}
+        self._count_fns: dict = {}
 
-    def _key(self, tag: str, t, env: dict):
-        if id(t) not in self._fv:
-            self._fv[id(t)] = frozenset(lc.free_vars(t))
-        fv = self._fv[id(t)]
-        return (tag, id(t), tuple(sorted((v, env[v]) for v in fv if v in env)))
+    def _scan(self, t) -> frozenset:
+        """Record the free variables of t and of each node below it, the
+        count subterms of each node that has any, in `core.subterms`
+        order, and the values of the constants; return t's free variables."""
+        kids = t.children()
+        if isinstance(t, core.Variable):
+            names = frozenset((t.name,))
+        elif not kids:
+            names = _NO_NAMES
+            if isinstance(t, lc.Const):
+                self._constants.add(t.value)
+        else:
+            names = _NO_NAMES.union(*map(self._scan, kids))
+            if t.binds:
+                names = names - {t.var}
+            counts = [t] if isinstance(t, lc.CountApp) else []
+            for kid in reversed(kids):
+                if id(kid) in self._count_subterms:
+                    counts += self._count_subterms[id(kid)]
+            if counts:
+                self._count_subterms[id(t)] = counts
+        self._fv[id(t)] = names
+        return names
+
+    def _memo(self, t, scope: frozenset):
+        """The key function and the memo of node t in scope."""
+        names = tuple(sorted(self._fv[id(t)] & scope))
+        key = itemgetter(*names) if names else _no_key
+        return key, self._memos.setdefault((id(t), names), {})
 
     # -- formulas ------------------------------------------------------------
 
-    def truth(self, t, env: dict) -> bool:
+    def formula(self, t, scope: frozenset):
+        """env -> bool."""
         if isinstance(t, lc.Pred):
-            s = self.element(t.arg1, env)
-            o = self.element(t.arg2, env)
-            if not isinstance(s, core.Entity):
-                return False
-            return (s, t.property, o) in self.triples
+            return self._pred(t, scope)
         if isinstance(t, lc.Eq):
-            return self.element(t.left, env) == self.element(t.right, env)
+            return self._eq(t, scope)
         if isinstance(t, lc.And):
-            return self.truth(t.left, env) and self.truth(t.right, env)
+            left, right = self.formula(t.left, scope), self.formula(t.right, scope)
+            return lambda env: left(env) and right(env)
         if isinstance(t, lc.Or):
-            return self.truth(t.left, env) or self.truth(t.right, env)
+            left, right = self.formula(t.left, scope), self.formula(t.right, scope)
+            return lambda env: left(env) or right(env)
         if isinstance(t, lc.Not):
-            return not self.truth(t.inner, env)
+            inner = self.formula(t.inner, scope)
+            return lambda env: not inner(env)
         if isinstance(t, lc.Exists):
-            key = self._key("ex", t, env)
-            if key not in self._memo:
-                self._memo[key] = any(
-                    self.truth(t.body, {**env, t.var: v}) for v in self.candidates
-                )
-            return self._memo[key]
+            return self._exists(t, scope)
         if isinstance(t, lc.In):
-            return self.element(t.element, env) in self.sup_set(t.set_expr, env)
-        raise IllTyped(f"not a formula: {lc.format_lc(t)}")
+            element = self.element(t.element, scope)
+            winners = self.sup_set(t.set_expr, scope)
+            return lambda env: element(env) in winners(env)
+        return _fails(IllTyped, "not a formula: ", t)
+
+    def _pred(self, t: lc.Pred, scope):
+        # A triple's subject is always an entity (`kb.Triple`), so a number
+        # subject finds no triple.
+        prop, triples = t.property, self.triples
+        s, o = _bound_name(t.arg1, scope), _bound_name(t.arg2, scope)
+        if s and o:
+            return lambda env: (env[s], prop, env[o]) in triples
+        if s and isinstance(t.arg2, lc.Const):
+            obj = t.arg2.value
+            return lambda env: (env[s], prop, obj) in triples
+        if o and isinstance(t.arg1, lc.Const):
+            subj = t.arg1.value
+            return lambda env: (subj, prop, env[o]) in triples
+        subject, obj = self.element(t.arg1, scope), self.element(t.arg2, scope)
+        return lambda env: (subject(env), prop, obj(env)) in triples
+
+    def _eq(self, t: lc.Eq, scope):
+        a, b = _bound_name(t.left, scope), _bound_name(t.right, scope)
+        if a and b:
+            return lambda env: env[a] == env[b]
+        if a and isinstance(t.right, lc.Const):
+            value = t.right.value
+            return lambda env: env[a] == value
+        left, right = self.element(t.left, scope), self.element(t.right, scope)
+        return lambda env: left(env) == right(env)
+
+    def _exists(self, t: lc.Exists, scope):
+        var, candidates = t.var, self.candidates
+        body = self.formula(t.body, scope | {var})
+        key, memo = self._memo(t, scope)
+
+        def exists(env):
+            k = key(env)
+            found = memo.get(k)
+            if found is None:
+                found = False
+                env = env.copy()
+                for v in candidates:
+                    env[var] = v
+                    if body(env):
+                        found = True
+                        break
+                memo[k] = found
+            return found
+
+        return exists
 
     # -- element terms ---------------------------------------------------------
 
-    def element(self, t, env: dict):
+    def element(self, t, scope: frozenset):
+        """env -> value."""
         if isinstance(t, lc.Var):
-            if t.name not in env:
-                raise UnboundVariable(t.name)
-            return env[t.name]
+            if t.name in scope:
+                return itemgetter(t.name)
+            return _fails(UnboundVariable, t.name)
         if isinstance(t, lc.Const):
-            return t.value
+            value = t.value
+            return lambda env: value
         if isinstance(t, lc.CountApp):
-            return core.Number(len(self.value_set(t.set_term, env)))
-        raise IllTyped(f"not an element term: {lc.format_lc(t)}")
+            members = self.value_set(t.set_term, scope)
+            return lambda env: core.Number(len(members(env)))
+        return _fails(IllTyped, "not an element term: ", t)
 
     # -- sets ------------------------------------------------------------------
 
-    def value_set(self, term, env: dict) -> frozenset:
-        """Denotation of a one-argument lambda term."""
+    def value_set(self, term, scope: frozenset):
+        """env -> the denotation of a one-argument lambda term."""
         if not (isinstance(term, lc.Lam) and _is_formula(term.body)):
-            raise IllTyped("expected a one-argument lambda term")
-        key = self._key("set", term, env)
-        if key not in self._memo:
-            domain = self.base | self._countable(term.body, env)
-            self._memo[key] = frozenset(
-                v for v in domain if self.truth(term.body, {**env, term.var: v})
-            )
-        return self._memo[key]
+            return _fails(IllTyped, "expected a one-argument lambda term")
+        var, base = term.var, self.base
+        body = self.formula(term.body, scope | {var})
+        countable = self._countable(term.body)
+        key, memo = self._memo(term, scope)
+
+        def value_set(env):
+            k = key(env)
+            members = memo.get(k)
+            if members is None:
+                domain = base | countable(env) if countable else base
+                env = env.copy()
+                members = []
+                for v in domain:
+                    env[var] = v
+                    if body(env):
+                        members.append(v)
+                members = memo[k] = frozenset(members)
+            return members
+
+        return value_set
 
     def pair_set(self, term: lc.Lam) -> frozenset:
         """Denotation of a two-argument lambda term, both nesting orders."""
-        xv, inner = term.var, term.body
-        yv, body = inner.var, inner.body
+        xv, yv, body_t = term.var, term.body.var, term.body.body
+        body = self.formula(body_t, frozenset((xv, yv)))
+        rich, countable = self.rich, self._countable(body_t)
+
+        def domain(env):
+            return rich | countable(env) if countable else rich
+
         found = set()
-        for x in self.rich | self._countable(body, {}):
-            for y in self.rich | self._countable(body, {xv: x}):
-                if self.truth(body, {xv: x, yv: y}):
+        for x in domain({}):
+            env = {xv: x}
+            # The domain is computed before the loop sets yv.
+            for y in domain(env):
+                env[yv] = y
+                if body(env):
                     found.add((x, y))
-        for y in self.rich | self._countable(body, {}):
-            for x in self.rich | self._countable(body, {yv: y}):
-                if self.truth(body, {xv: x, yv: y}):
+        for y in domain({}):
+            env = {yv: y}
+            for x in domain(env):
+                # Both set, in this order, so that y wins when xv == yv.
+                env[xv] = x
+                env[yv] = y
+                if body(env):
                     found.add((x, y))
         return frozenset(found)
 
-    def sup_set(self, t, env: dict) -> frozenset:
+    def sup_set(self, t, scope: frozenset):
+        """env -> the winners of a superlative application."""
         if not isinstance(t, lc.SupApp):
-            raise IllTyped(f"not a superlative application: {lc.format_lc(t)}")
-        key = self._key("sup", t, env)
-        if key in self._memo:
-            return self._memo[key]
-        members = self.value_set(t.set_term, env)
+            return _fails(IllTyped, "not a superlative application: ", t)
+        members_of = self.value_set(t.set_term, scope)
         deg = t.degree_term
         if not (isinstance(deg, lc.Lam) and isinstance(deg.body, lc.Lam)):
-            raise IllTyped("degree of a superlative must take two arguments")
-        sv, dv, body = deg.var, deg.body.var, deg.body.body
-        scored = []
-        bad = []
-        for m in members:
-            env2 = {**env, sv: m}
-            cands = [
-                v for v in self.rich | self._countable(body, env2)
-                if self.truth(body, {**env2, dv: v})
-            ]
-            ns = [v.n for v in cands if isinstance(v, core.Number)]
-            if len(ns) < len(cands):
-                bad.extend(v for v in cands if not isinstance(v, core.Number))
-            elif ns:
-                scored.append((m, max(ns) if t.op == "argmax" else min(ns)))
-        # Raised once every member is scored, naming the least non-number,
-        # so that the error does not depend on set order.
-        if bad:
-            raise NonNumericDegree(min(bad, key=core.value_sort_key))
-        if not scored:
-            self._memo[key] = frozenset()
-            return self._memo[key]
-        best = (
-            max(d for _, d in scored)
-            if t.op == "argmax"
-            else min(d for _, d in scored)
-        )
-        self._memo[key] = frozenset(m for m, d in scored if d == best)
-        return self._memo[key]
+            def ill_typed(env):
+                members_of(env)
+                raise IllTyped("degree of a superlative must take two arguments")
 
-    def _countable(self, t, env: dict) -> frozenset:
-        """Values of aggregate subterms whose free variables are all bound."""
-        if id(t) not in self._counts:
-            self._counts[id(t)] = _count_subterms(t)
-        out = set()
-        bound = set(env)
-        for sub in self._counts[id(t)]:
-            if id(sub) not in self._fv:
-                self._fv[id(sub)] = frozenset(lc.free_vars(sub))
-            if self._fv[id(sub)] <= bound:
-                out.add(self.element(sub, env))
-        return frozenset(out)
+            return ill_typed
+        sv, dv, body_t = deg.var, deg.body.var, deg.body.body
+        body = self.formula(body_t, scope | {sv, dv})
+        countable = self._countable(body_t)
+        rich, best_of = self.rich, max if t.op == "argmax" else min
+        key, memo = self._memo(t, scope)
+
+        def sup_set(env):
+            k = key(env)
+            winners = memo.get(k)
+            if winners is not None:
+                return winners
+            scored = []
+            bad = []
+            outer = env.copy()
+            for m in members_of(env):
+                outer[sv] = m
+                inner = outer.copy()
+                cands = []
+                for v in rich | countable(outer) if countable else rich:
+                    inner[dv] = v
+                    if body(inner):
+                        cands.append(v)
+                ns = [v.n for v in cands if isinstance(v, core.Number)]
+                if len(ns) < len(cands):
+                    bad.extend(v for v in cands if not isinstance(v, core.Number))
+                elif ns:
+                    scored.append((m, best_of(ns)))
+            # Raised once every member is scored, naming the least
+            # non-number, so that the error does not depend on set order.
+            if bad:
+                raise NonNumericDegree(min(bad, key=core.value_sort_key))
+            best = best_of(d for _, d in scored) if scored else None
+            winners = memo[k] = frozenset(m for m, d in scored if d == best)
+            return winners
+
+        return sup_set
+
+    def _countable(self, body):
+        """env -> the values of the count subterms of body whose free
+        variables env binds; None when body has no count subterm."""
+        subs = self._count_subterms.get(id(body))
+        if subs is None:
+            return None
+        subs = [(self._fv[id(s)], self._count(s)) for s in subs]
+
+        def countable(env):
+            bound = env.keys()
+            return frozenset([count(env) for names, count in subs if names <= bound])
+
+        return countable
+
+    def _count(self, t: lc.CountApp):
+        """The closure of a count subterm as `_countable` runs it: only
+        where all its free variables are bound, so they are its scope."""
+        fn = self._count_fns.get(id(t))
+        if fn is None:
+            fn = self._count_fns[id(t)] = self.element(t, self._fv[id(t)])
+        return fn
 
 
-def _constants(t) -> frozenset:
-    return frozenset(s.value for s in core.subterms(t) if isinstance(s, lc.Const))
+_NO_NAMES: frozenset = frozenset()
 
 
-def _count_subterms(t) -> list:
-    return [s for s in core.subterms(t) if isinstance(s, lc.CountApp)]
+def _no_key(env) -> tuple:
+    return ()
+
+
+def _bound_name(t, scope):
+    """t's name if t is a variable that scope binds, else None."""
+    return t.name if isinstance(t, lc.Var) and t.name in scope else None
+
+
+def _fails(error, message: str, t=None):
+    """A closure that raises error(message), followed by the text of t
+    when given, each time it is reached."""
+
+    def fail(env):
+        raise error(message if t is None else message + lc.format_lc(t))
+
+    return fail
 
 
 # --- random form generation ---------------------------------------------------
@@ -368,7 +520,11 @@ def check_equivalence(
 
     Every form is checked both as translated and after simplification;
     any disagreement is reported with the form's text and all three sets.
+    Raises ValueError for a negative number of trials, and as `gen_term`
+    does.
     """
+    if trials < 0:
+        raise ValueError("--trials must be at least 0")
     schema = GenSchema.from_kb(kb)
     mismatches = []
     for i in range(trials):

@@ -109,6 +109,13 @@ def test_check_zero_trials_needs_no_kb(capsys):
     assert out.strip() == "trials=0 mismatches=0"
 
 
+@pytest.mark.parametrize("kb_args", [(), ("-k", KB)])
+def test_check_refuses_negative_trials(capsys, kb_args):
+    code, out, err = run(capsys, "check", *kb_args, "--trials", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --trials must be at least 0\n"
+
+
 def test_check_without_kb_fails(capsys):
     code, _, err = run(capsys, "check", "--trials", "5")
     assert code == 1 and "needs a KB" in err

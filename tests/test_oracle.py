@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,9 @@ from ldcs import (
     Entity,
     GenSchema,
     IllTyped,
+    NonNumericDegree,
     Number,
+    UnboundVariable,
     check_equivalence,
     gen_term,
     lc_eval,
@@ -20,7 +23,7 @@ from ldcs import (
     parse_unary,
     resolve,
 )
-from ldcs import core
+from ldcs import core, lc
 
 
 def test_lc_eval_simple_sets(kb):
@@ -90,6 +93,121 @@ def test_pred_with_number_subject_is_false(kb):
     assert got == frozenset()
 
 
+def _plain(v):
+    return v.entity_id if isinstance(v, Entity) else v.n
+
+
+def _names(values):
+    return set(map(_plain, values))
+
+
+def _pairs(pairs):
+    return {tuple(map(_plain, pair)) for pair in pairs}
+
+
+@pytest.mark.parametrize("text, expected", [
+    # The inner x shadows the outer one: y must have influenced Eve.
+    ("lambda x . exists y . Children(x,y) & (exists x . Influenced(y,x) & [x = Eve])",
+     {"Dave"}),
+    ("lambda x . Type(x,USState) & (exists x . Border(x,California))",
+     {"California", "Oregon", "Washington"}),
+    ("lambda x . [x = count(lambda x . Type(x,USState))]", {3}),
+])
+def test_lc_eval_shadowed_binders(kb, text, expected):
+    assert _names(lc_eval(parse_lc(text), kb)) == expected
+
+
+def test_lc_eval_two_argument_term_with_one_name(kb):
+    # The inner binder shadows the outer, so the first argument ranges freely.
+    pairs = _pairs(lc_eval(parse_lc("lambda x . lambda x . Type(x,USState)"), kb))
+    assert len(pairs) == 54
+    assert {b for _, b in pairs} == {"California", "Oregon", "Washington"}
+    assert {a for a, _ in pairs} >= {"Alice", "USState", 71, 164}
+
+
+def test_lc_eval_memo_follows_the_outer_binding(kb):
+    # One existential, reached under each x (and each pair): its answer
+    # for one binding is not reused for another.
+    got = lc_eval(parse_lc("lambda x . Type(x,Person) & (exists y . Children(x,y))"), kb)
+    assert _names(got) == {"Dave", "Eve"}
+    got = lc_eval(parse_lc(
+        "lambda x . lambda y . exists z . Children(x,z) & Influenced(z,y)"), kb)
+    assert _pairs(got) == {("Dave", "Dave"), ("Dave", "Eve")}
+
+
+def test_lc_eval_count_pairs_in_both_orders(kb):
+    got = _pairs(lc_eval(parse_lc(
+        "lambda x . lambda n . [n = count(lambda c . Children(x,c))]"), kb))
+    assert len(got) == 18
+    assert {p for p in got if p[1] != 0} == {("Dave", 2), ("Eve", 1)}
+    assert {a for a, _ in got} >= {"Alice", "Seattle", 71, 98, 164}
+    flipped = _pairs(lc_eval(parse_lc(
+        "lambda n . lambda x . [n = count(lambda c . Children(x,c))]"), kb))
+    assert flipped == {(n, x) for x, n in got}
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("lambda x . in(x, argmin(lambda y . Type(y,Person), "
+     "lambda s . lambda d . [d = count(lambda c . Children(s,c))]))",
+     {"Alice", "Bob", "Carol"}),
+    ("lambda x . in(x, argmax(lambda y . Type(y,City), "
+     "lambda s . lambda d . [d = count(lambda p . PlaceOfBirth(p,s))]))",
+     {"Portland", "Seattle"}),
+    # No member: no degree is looked at, so none can fail.
+    ("lambda x . in(x, argmax(lambda y . Type(y,Person) & Type(y,City), "
+     "lambda s . lambda d . PlaceOfBirth(s,d)))",
+     set()),
+])
+def test_lc_eval_superlative_ties(kb, text, expected):
+    assert _names(lc_eval(parse_lc(text), kb)) == expected
+
+
+def test_lc_eval_non_numeric_degree_names_the_least_value(kb):
+    term = parse_lc("lambda x . in(x, argmax(lambda y . Type(y,Person), "
+                    "lambda s . lambda d . PlaceOfBirth(s,d)))")
+    with pytest.raises(NonNumericDegree, match="non-numeric value: Portland$"):
+        lc_eval(term, kb)
+
+
+_CITY = lc.Pred("Type", lc.Var("x"), lc.Const(Entity("City")))
+_PLANET = lc.Pred("Type", lc.Var("x"), lc.Const(Entity("Planet")))
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (lc.Const(Entity("Seattle")), IllTyped, "not a formula: Seattle"),
+    (lc.Exists("y", lc.Pred("Children", lc.Var("z"), lc.Var("y"))), UnboundVariable,
+     "unbound variable: z"),
+    (lc.Eq(lc.Var("x"), lc.Var("z")), UnboundVariable, "unbound variable: z"),
+    (lc.Pred("Type", lc.Var("x"), lc.Var("z")), UnboundVariable, "unbound variable: z"),
+    (lc.Eq(lc.Var("x"), parse_lc("lambda y . Type(y,City)")), IllTyped,
+     "not an element term: lambda y . Type(y,City)"),
+    (lc.In(lc.Var("x"), parse_lc("lambda y . Type(y,City)")), IllTyped,
+     "not a superlative application: lambda y . Type(y,City)"),
+    (parse_lc("in(x, argmax(lambda y . Type(y,City), lambda s . Area(s,s)))"),
+     IllTyped, "degree of a superlative must take two arguments"),
+    # The set is checked before the degree.
+    (parse_lc("in(x, argmax(Seattle, lambda s . Area(s,s)))"),
+     IllTyped, "expected a one-argument lambda term"),
+])
+def test_lc_eval_errors_only_where_reached(kb, bad, error, message):
+    # Behind a conjunct no value satisfies, the bad subterm is never reached.
+    assert lc_eval(lc.Lam("x", lc.And(_PLANET, bad)), kb) == frozenset()
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        lc_eval(lc.Lam("x", lc.And(_CITY, bad)), kb)
+
+
+def test_lc_eval_count_widening_reaches_what_the_formula_does_not(kb):
+    # The domain is widened with every count subterm whose free variables
+    # are bound, before any candidate is tried: an ill-typed one raises
+    # even behind a false conjunct, and one with an unbound variable is
+    # left out.
+    with pytest.raises(IllTyped, match="expected a one-argument lambda term"):
+        lc_eval(parse_lc("lambda x . Type(x,Planet) & [x = count(Seattle)]"), kb)
+    unbound = lc.CountApp(lc.Lam("c", lc.Pred("Children", lc.Var("z"), lc.Var("c"))))
+    term = lc.Lam("x", lc.And(_PLANET, lc.Eq(lc.Var("x"), unbound)))
+    assert lc_eval(term, kb) == frozenset()
+
+
 def test_gen_term_is_deterministic(kb):
     schema = GenSchema.from_kb(kb)
     for seed in range(50):
@@ -138,6 +256,9 @@ def test_check_equivalence_refuses_what_gen_term_cannot_draw(kb):
     for depth in (-1, MAX_DEPTH + 1, 3000):
         with pytest.raises(ValueError, match=f"between 0 and {MAX_DEPTH}"):
             check_equivalence(kb, 3, max_depth=depth)
+    with pytest.raises(ValueError, match="--trials must be at least 0"):
+        check_equivalence(kb, -1)
+    assert check_equivalence(kb, 0).render() == "trials=0 mismatches=0"
     with pytest.raises(ValueError, match="no triples"):
         check_equivalence(load_kb(""), 3)
     with pytest.raises(ValueError, match="no triples"):
@@ -161,31 +282,33 @@ def test_check_report_renders_mismatches(kb):
     assert text.endswith("trials=1 mismatches=1")
 
 
-_COUNT_TRUTH = """
+_COUNT_CALLS = """
 import sys
 from ldcs import check_equivalence, load_kb_file, oracle
 calls = 0
-truth = oracle._OracleEval.truth
-def counted(self, t, env):
+def counted(frame, event, arg):
     global calls
-    calls += 1
-    return truth(self, t, env)
-oracle._OracleEval.truth = counted
-report = check_equivalence(load_kb_file(sys.argv[1]), 40, max_depth=4, seed=7)
+    if event == "call" and frame.f_code.co_filename == oracle.__file__:
+        calls += 1
+kb = load_kb_file(sys.argv[1])
+sys.setprofile(counted)
+report = check_equivalence(kb, 40, max_depth=4, seed=7)
+sys.setprofile(None)
 print(report.ok, calls)
 """
 
 
 def test_check_work_does_not_follow_set_order():
     # Set order follows string hashes and, for interned values, addresses;
-    # the oracle tries existential witnesses in value order instead.
+    # the oracle tries existential witnesses in value order instead. The
+    # work is counted as the calls into the oracle's compiled closures.
     root = pathlib.Path(__file__).resolve().parent.parent
     fixture, src = root / "fixtures" / "demo.tsv", str(root / "src")
     outputs = set()
     for hash_seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-c", _COUNT_TRUTH, str(fixture)],
+            [sys.executable, "-c", _COUNT_CALLS, str(fixture)],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         outputs.add(proc.stdout)
