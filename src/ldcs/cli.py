@@ -18,7 +18,6 @@ nor the SPARQL compiler.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import Number, render_value, value_sort_key
@@ -96,6 +95,8 @@ def _cmd_eval(args) -> int:
     u = resolve(parse_unary(args.expr), kb, strict=True)
     values = _sorted_values(eval_unary(u, kb))
     if args.json:
+        import json
+
         payload = [v.n if isinstance(v, Number) else v.entity_id for v in values]
         print(json.dumps(payload))
     else:

@@ -1,16 +1,14 @@
 """Values, environments, and the logical-form syntax trees.
 
 A unary form denotes a set of values, a binary form a set of value pairs.
-The trees here are plain immutable data; parsing, evaluation, conversion,
-and printing live in their own modules. The tree protocol (`Node`) is
-shared with the lambda terms of `lc`.
+The trees here are plain immutable data, declared with `@node`; parsing,
+evaluation, conversion, and printing live in their own modules. The tree
+protocol (`Node`) is shared with the lambda terms of `lc`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import typing
-from dataclasses import dataclass
+import sys
 
 from .errors import UnboundVariable
 
@@ -18,7 +16,20 @@ INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
 
 
-class Value:
+class Frozen:
+    """A base whose instances refuse to assign or delete an attribute; their
+    constructors set fields with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Value(Frozen):
     """A knowledge-base individual: a named entity or a 64-bit integer.
 
     Values are interned: constructing one returns the single object for
@@ -36,11 +47,10 @@ _ENTITIES: dict[str, "Entity"] = {}
 _NUMBERS: dict[int, "Number"] = {}
 
 
-@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Entity(Value):
     """A named individual, identified by a non-empty string."""
 
-    entity_id: str
+    __slots__ = ("entity_id",)
 
     def __new__(cls, entity_id: str):
         try:
@@ -63,11 +73,13 @@ class Entity(Value):
     def __reduce__(self):
         return (Entity, (self.entity_id,))
 
+    def __repr__(self):
+        return f"Entity(entity_id={self.entity_id!r})"
+
     def __str__(self):
         return self.entity_id
 
 
-@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Number(Value):
     """An integer individual, restricted to the signed 64-bit range.
 
@@ -75,7 +87,7 @@ class Number(Value):
     stand for, and print unlike, the interned number it equals.
     """
 
-    n: int
+    __slots__ = ("n",)
 
     def __new__(cls, n: int):
         # Checked before the lookup: True and 5.0 hash like 1 and 5.
@@ -94,6 +106,9 @@ class Number(Value):
     def __reduce__(self):
         return (Number, (self.n,))
 
+    def __repr__(self):
+        return f"Number(n={self.n!r})"
+
     def __str__(self):
         return str(self.n)
 
@@ -109,11 +124,19 @@ def render_value(v: Value) -> str:
     return v.entity_id if isinstance(v, Entity) else str(v.n)
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(Frozen):
     """An immutable variable environment. Unbound lookup raises, never defaults."""
 
-    bindings: dict[str, Value]
+    def __init__(self, bindings: dict[str, Value]):
+        object.__setattr__(self, "bindings", bindings)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bindings == other.bindings
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Env(bindings={self.bindings!r})"
 
     def lookup(self, name: str) -> Value:
         try:
@@ -135,7 +158,7 @@ EMPTY_ENV = Env({})
 
 # --- the tree protocol ----------------------------------------------------------
 
-class Node:
+class Node(Frozen):
     """Base class of the syntax trees: logical forms here, lambda terms in `lc`.
 
     Every node class is declared with `@node`, which reads its fields once:
@@ -151,6 +174,8 @@ class Node:
 
     so that a walker that only needs the shape of a tree is written once
     for every node class, and one that changes nothing returns its input.
+    A node is an immutable value, equal to a node of its own class with
+    equal fields; its `__dict__` holds exactly its fields.
     """
 
     binds = False
@@ -161,16 +186,43 @@ class Variable(Node):
 
 
 def node(cls: type) -> type:
-    """Declare a syntax-tree class: a frozen dataclass with the Node protocol."""
-    cls = dataclass(frozen=True)(cls)
-    hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    kids = [n for n in names if isinstance(hints[n], type) and issubclass(hints[n], Node)]
+    """Declare a syntax-tree class from its annotated fields.
+
+    The fields are the class's own annotations, in order; each annotation
+    is looked up by name in the defining module to tell children from
+    labels. One `exec` then writes the class's methods: `__init__` (by
+    position or keyword, then `__post_init__` where the class has one),
+    `__repr__`, `__eq__` and `__hash__` over the field tuple, and the Node
+    protocol. An instance's `__dict__` holds exactly its fields, in order.
+    """
+    names = list(cls.__annotations__)
+    scope = vars(sys.modules[cls.__module__])
+    kinds = [scope.get(a) if isinstance(a, str) else a for a in cls.__annotations__.values()]
+    kids = [n for n, t in zip(names, kinds) if isinstance(t, type) and issubclass(t, Node)]
     labels = [n for n in names if n not in kids and n != "var"]
     k = [f"k{i}" for i in range(len(kids))]
-    # Generated once per class, as dataclass generates its methods, so that a
-    # walker pays one plain call per node.
+    # Fields are set with object.__setattr__, never through self.__dict__:
+    # building the dict eagerly makes every later field read slower.
+    sets = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    # Generated once per class, so that a walker pays one plain call per node.
     source = f"""
+def __init__(self, {", ".join(names)}):{sets}{post}
+
+def __repr__(self):
+    return type(self).__qualname__ + f"({shown})"
+
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+
+def __hash__(self):
+    return hash(({mine}))
+
 def children(self):
     return ({"".join(f"self.{n}, " for n in kids)})
 
@@ -183,9 +235,9 @@ def rebuild(self, kids):
         return self
     return cls({", ".join(k[kids.index(n)] if n in kids else f"self.{n}" for n in names)})
 """
-    namespace = {"cls": cls}
+    namespace = {"cls": cls, "_set": object.__setattr__}
     exec(source, namespace)
-    for name in ("children", "labels", "rebuild"):
+    for name in ("__init__", "__repr__", "__eq__", "__hash__", "children", "labels", "rebuild"):
         setattr(cls, name, namespace[name])
     cls.binds = "var" in names
     return cls

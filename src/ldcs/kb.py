@@ -13,10 +13,10 @@ import io
 import re
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 
-from .core import Entity, Number, Value, render_value, value_sort_key
+from .core import Entity, Frozen, Number, Value, render_value, value_sort_key
 from .errors import BadObject, BadSubject, KbFormatError, MalformedLine
 from .parser import KEYWORDS
 
@@ -50,19 +50,40 @@ _NO_VALUES: frozenset = frozenset()
 _NO_PAIRS = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(Frozen):
     """An immutable triple set with lookup indexes over both directions.
 
     `forward[p][s]` is the set of objects o with (s, p, o) in the KB and
     `backward[p][o]` the set of subjects; every set in them is non-empty.
+    Two KBs are equal when all five fields are; the indexes are left out
+    of the repr.
     """
 
-    triples: frozenset[Triple]
-    forward: dict[str, dict[Value, frozenset[Value]]] = field(repr=False)
-    backward: dict[str, dict[Value, frozenset[Value]]] = field(repr=False)
-    entity_domain: frozenset[Value]
-    property_set: frozenset[str]
+    def __init__(
+        self,
+        triples: frozenset[Triple],
+        forward: dict[str, dict[Value, frozenset[Value]]],
+        backward: dict[str, dict[Value, frozenset[Value]]],
+        entity_domain: frozenset[Value],
+        property_set: frozenset[str],
+    ):
+        set_ = object.__setattr__
+        set_(self, "triples", triples)
+        set_(self, "forward", forward)
+        set_(self, "backward", backward)
+        set_(self, "entity_domain", entity_domain)
+        set_(self, "property_set", property_set)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _kb_fields(self) == _kb_fields(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return (
+            f"KnowledgeBase(triples={self.triples!r}, entity_domain={self.entity_domain!r}, "
+            f"property_set={self.property_set!r})"
+        )
 
     def objects_of(self, prop: str, subject: Value) -> frozenset[Value]:
         """All o with (subject, prop, o) in the KB; empty for unknown props."""
@@ -74,6 +95,9 @@ class KnowledgeBase:
 
     def __len__(self):
         return len(self.triples)
+
+
+_kb_fields = attrgetter("triples", "forward", "backward", "entity_domain", "property_set")
 
 
 @contextmanager

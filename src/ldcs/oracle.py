@@ -12,8 +12,8 @@ reports any disagreement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import core, lc
 from .convert import simplify, to_lc_unary
@@ -357,8 +357,7 @@ def _fails(error, message: str, t=None):
 
 # --- random form generation ---------------------------------------------------
 
-@dataclass(frozen=True)
-class GenSchema:
+class GenSchema(NamedTuple):
     """What the generator may draw from: the KB's own vocabulary.
 
     Reversed joins are limited to properties whose objects are all
@@ -476,8 +475,7 @@ def _gen_degree(rng, sc: GenSchema, scope) -> core.BinaryForm:
 
 # --- agreement checking ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     seed: int
     text: str
     direct: frozenset
@@ -498,10 +496,9 @@ class Mismatch:
         )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     trials: int
-    mismatches: tuple = field(default_factory=tuple)
+    mismatches: tuple = ()
 
     @property
     def ok(self) -> bool:

@@ -119,6 +119,21 @@ def test_triple_is_an_immutable_tuple():
             setattr(t, name, Entity("C"))
 
 
+def test_kb_is_an_immutable_record(kb):
+    assert load_kb(dump_kb(kb)) == kb
+    assert from_triples(list(kb.triples)[1:]) != kb
+    assert repr(kb) == (
+        f"KnowledgeBase(triples={kb.triples!r}, entity_domain={kb.entity_domain!r}, "
+        f"property_set={kb.property_set!r})"
+    )
+    with pytest.raises(AttributeError):
+        kb.triples = frozenset()
+    with pytest.raises(AttributeError):
+        del kb.forward
+    with pytest.raises(TypeError):
+        hash(kb)
+
+
 def test_dump_is_sorted_and_loads_back(kb):
     text = dump_kb(kb)
     lines = text.splitlines()

@@ -43,6 +43,39 @@ def test_eval_loads_only_what_it_runs():
     ]
 
 
+def _newly_loaded(argv, names) -> list:
+    """Which of `names` running the command `argv` loads in a new interpreter.
+    Modules the interpreter loaded at start-up are not the command's doing."""
+    return _fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ldcs.cli\n"
+        f"assert ldcs.cli.main({argv!r}) == 0\n"
+        f"loaded = sorted({set(names)!r} & (set(sys.modules) - before))\n"
+        "import json\n"
+        "print(json.dumps(loaded))"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "-k", "fixtures/demo.tsv", "Type.City"],
+    ["eval", "-k", "fixtures/demo.tsv", "--json", "Type.City"],
+    ["lc", "argmax(Type.City, Area)"],
+    ["sparql", "count(Type.City)"],
+    ["check", "-k", "fixtures/demo.tsv", "--trials", "5"],
+], ids=["eval", "eval-json", "lc", "sparql", "check"])
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # `dataclasses` alone pulls in `inspect`, `ast`, `dis` and `tokenize`:
+    # milliseconds of every cold launch.
+    assert _newly_loaded(argv, {"dataclasses", "inspect"}) == []
+
+
+def test_eval_loads_json_only_to_print_json():
+    argv = ["eval", "-k", "fixtures/demo.tsv", "Type.City"]
+    assert _newly_loaded(argv, {"json"}) == []
+    assert _newly_loaded(argv[:-1] + ["--json", "Type.City"], {"json"}) == ["json"]
+
+
 def test_bare_import_loads_no_submodule():
     # The table of public names is plain data: it needs no submodule.
     assert _fresh("import json, sys, ldcs\n" + _LOADED) == ["ldcs"]

@@ -1,6 +1,7 @@
 """The tree protocol shared by both syntax trees: children, rebuild, binders."""
 
-import dataclasses
+import copy
+import pickle
 
 import pytest
 
@@ -41,13 +42,17 @@ SAMPLES = [
     (lc.In(X, C), ("element", "set_expr")),
 ]
 
+NODES = [t for t, _ in SAMPLES]
+IDS = [f"{type(t).__module__}.{type(t).__name__}" for t in NODES]
+
 BINDERS = {core.Mu, core.Lambda, lc.Exists, lc.Lam}
 
 
 def _concrete(base):
+    """The classes below base that `@node` declared: they define `rebuild`."""
     found = set()
     for cls in base.__subclasses__():
-        if dataclasses.is_dataclass(cls):
+        if "rebuild" in vars(cls):
             found.add(cls)
         found |= _concrete(cls)
     return found
@@ -67,9 +72,7 @@ def _other(child):
     return lc.Const(Entity("Other"))
 
 
-@pytest.mark.parametrize(
-    "t,fields", SAMPLES, ids=[f"{type(t).__module__}.{type(t).__name__}" for t, _ in SAMPLES]
-)
+@pytest.mark.parametrize("t,fields", SAMPLES, ids=IDS)
 def test_protocol(t, fields):
     assert t.children() == tuple(getattr(t, f) for f in fields)
     assert t.binds == (type(t) in BINDERS)
@@ -80,8 +83,45 @@ def test_protocol(t, fields):
         kids[i] = _other(kids[i])
         rebuilt = t.rebuild(kids)
         assert rebuilt is not t
-        assert rebuilt == dataclasses.replace(t, **{name: kids[i]})
+        assert rebuilt == type(t)(**{**vars(t), name: kids[i]})
         assert rebuilt.children() == tuple(kids)
+
+
+@pytest.mark.parametrize("t", NODES, ids=IDS)
+def test_fields_are_read_through_vars(t):
+    # The benchmark's tree readers walk `vars(node)`: it must hold exactly
+    # the fields, in the order the class declares them.
+    declared = list(type(t).__annotations__)
+    assert list(vars(t)) == declared
+    assert vars(t) == {name: getattr(t, name) for name in declared}
+    by_keyword = type(t)(**vars(t))
+    assert by_keyword == t and hash(by_keyword) == hash(t)
+    assert list(vars(by_keyword)) == declared
+    assert type(t)(*vars(t).values()) == t
+
+
+@pytest.mark.parametrize("t", NODES, ids=IDS)
+def test_nodes_are_immutable_values(t):
+    shown = ", ".join(f"{name}={value!r}" for name, value in vars(t).items())
+    assert repr(t) == f"{type(t).__name__}({shown})"
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert copy.deepcopy(t) == t
+    name = next(iter(vars(t)))
+    with pytest.raises(AttributeError):
+        setattr(t, name, getattr(t, name))
+    with pytest.raises(AttributeError):
+        delattr(t, name)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+
+
+def test_equality_needs_the_same_class():
+    V = core.Var("v")
+    assert core.Intersect(A, V) != core.Union(A, V)
+    assert hash(core.Intersect(A, V)) == hash(core.Union(A, V))
+    assert core.Var("x") != lc.Var("x")
+    assert core.Negate(A).__eq__(A) is NotImplemented
+    assert core.Join(P, A) == core.Join(core.Property("P"), core.EntityLit(Entity("A")))
 
 
 def test_labels_leave_out_children_and_the_bound_name():
