@@ -138,16 +138,25 @@ def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
     raise TypeError(f"not a decidable unary form: {u!r}")
 
 
+def _property(b, forward: bool = True):
+    """(name, direction) of a property under any number of R[...], the
+    direction being True when b (or its reverse, when not `forward`) runs
+    from subjects to objects; None for any other b."""
+    while isinstance(b, Reverse):
+        b = b.inner
+        forward = not forward
+    return (b.name, forward) if isinstance(b, Property) else None
+
+
 def _pairs(b, kb: KnowledgeBase, forward: bool = True):
     """The map {x: {y | (x, y) in b}} of a property under any number of
     R[...] (of its reverse when not `forward`), or None for any other b.
     Its sets are never empty."""
-    while isinstance(b, Reverse):
-        b = b.inner
-        forward = not forward
-    if not isinstance(b, Property):
+    prop = _property(b, forward)
+    if prop is None:
         return None
-    return (kb.forward if forward else kb.backward).get(b.name, {})
+    name, forward = prop
+    return (kb.forward if forward else kb.backward).get(name, {})
 
 
 def _image(pairs, xs: frozenset) -> frozenset:
@@ -246,16 +255,29 @@ def _degree(related: frozenset, collapse: str, bad: list):
 
 
 def _superlative(u: Superlative, kb, env) -> frozenset:
-    # Every degree is computed before any error is raised, so that a
-    # non-numeric degree is reported the same way whatever the set order.
-    # A degree through a property is read from that property's map.
     collapse = "max" if u.op == "argmax" else "min"
     source = eval_unary(u.source, kb, env)
-    pairs = _pairs(u.degree, kb)
-    if pairs is None:
+    prop = _property(u.degree)
+    if prop is None:
         related = [_join_objects(u.degree, frozenset({x}), kb, env) for x in source]
     else:
+        # A degree through a property is read from that property's map. For
+        # a source large next to the map, the KB's degree order of the map
+        # is searched for the first member of the source instead (the order
+        # is built once per map, at a cost of a few scans). Where the source
+        # holds a key with a non-number degree the scan below runs, so that
+        # it alone raises NonNumericDegree.
+        name, forward = prop
+        pairs = (kb.forward if forward else kb.backward).get(name, {})
+        if pairs and 8 * len(source) >= len(pairs):
+            if pairs.keys().isdisjoint(source):  # at C speed, over the source
+                return _EMPTY
+            degrees, keys, mixed = kb.degree_order(name, forward, collapse)
+            if source.isdisjoint(mixed):
+                return _first_ranked(degrees, keys, source)
         related = map(pairs.get, source)
+    # Every degree is computed before any error is raised, so that a
+    # non-numeric degree is reported the same way whatever the set order.
     xs, ds, bad = [], [], []
     for x, ys in zip(source, related):
         if ys:
@@ -269,3 +291,18 @@ def _superlative(u: Superlative, kb, env) -> frozenset:
         return _EMPTY
     best = max(ds) if collapse == "max" else min(ds)
     return frozenset(x for x, d in zip(xs, ds) if d == best)
+
+
+def _first_ranked(degrees: tuple, keys: tuple, source: frozenset) -> frozenset:
+    """The members of source that come first in `keys`, ranked best first
+    with their `degrees`, and every member tied with them. The search for
+    the first runs at C speed; the walk stops at the first degree after
+    theirs."""
+    first = next(filter(source.__contains__, keys), None)
+    if first is None:
+        return _EMPTY
+    start = keys.index(first)
+    best, end = degrees[start], start + 1
+    while end < len(keys) and degrees[end] == best:
+        end += 1
+    return source.intersection(keys[start:end])

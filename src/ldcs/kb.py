@@ -13,7 +13,7 @@ import io
 import re
 from collections import namedtuple
 from contextlib import contextmanager
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .core import Entity, Frozen, Number, Value, render_value, value_sort_key
@@ -56,7 +56,8 @@ class KnowledgeBase(Frozen):
     `forward[p][s]` is the set of objects o with (s, p, o) in the KB and
     `backward[p][o]` the set of subjects; every set in them is non-empty.
     Two KBs are equal when all five fields are; the indexes are left out
-    of the repr.
+    of the repr. A private cache of degree orders (`degree_order`) is
+    filled on first use; it is no part of the KB's value.
     """
 
     def __init__(
@@ -73,6 +74,7 @@ class KnowledgeBase(Frozen):
         set_(self, "backward", backward)
         set_(self, "entity_domain", entity_domain)
         set_(self, "property_set", property_set)
+        set_(self, "_degree_orders", {})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -96,8 +98,52 @@ class KnowledgeBase(Frozen):
     def __len__(self):
         return len(self.triples)
 
+    def __reduce__(self):  # pickle and copy the fields, not the cache
+        return (self.__class__, _kb_fields(self))
+
+    def degree_order(self, prop: str, forward: bool, collapse: str):
+        """The keys of a property map ranked by degree, as
+        (degrees, keys, mixed).
+
+        The map is `forward[prop]`, or `backward[prop]` when not `forward`.
+        `keys` holds the keys whose related values are all numbers, best
+        first, and `degrees` their degrees in the same order: a key's degree
+        is its largest number and the largest comes first for
+        collapse="max", the smallest for "min". `mixed` is the frozenset of
+        the other keys. Built once per map and collapse, on first use, and
+        kept.
+        """
+        order = self._degree_orders.get((prop, forward, collapse))
+        if order is None:
+            pairs = (self.forward if forward else self.backward).get(prop, _NO_PAIRS)
+            with _collector_paused():
+                order = _rank(pairs, collapse)
+            self._degree_orders[prop, forward, collapse] = order
+        return order
+
 
 _kb_fields = attrgetter("triples", "forward", "backward", "entity_domain", "property_set")
+
+
+def _rank(pairs, collapse: str):
+    """`KnowledgeBase.degree_order` of one property map."""
+    pick = max if collapse == "max" else min
+    ranked, mixed = [], []
+    for x, ys in pairs.items():
+        if len(ys) == 1:
+            (y,) = ys
+            if isinstance(y, Number):
+                ranked.append((y.n, x))
+                continue
+        else:
+            ns = [y.n for y in ys if isinstance(y, Number)]
+            if len(ns) == len(ys):
+                ranked.append((pick(ns), x))
+                continue
+        mixed.append(x)
+    ranked.sort(key=itemgetter(0), reverse=collapse == "max")
+    degrees, keys = zip(*ranked) if ranked else ((), ())
+    return degrees, keys, frozenset(mixed)
 
 
 @contextmanager

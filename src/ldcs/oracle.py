@@ -12,6 +12,7 @@ reports any disagreement.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -66,9 +67,10 @@ class _OracleEval:
     reached, and only then.
 
     Every loop over candidates copies the environment once and sets its
-    variable in place. An existential tries the candidates in
-    `value_sort_key` order and stops at its first witness, so the work
-    does not depend on set order. Enumeration is exponential in nesting
+    variable in place, and tries the candidates in `value_sort_key`
+    order: an existential stops at its first witness, and the first
+    candidate that reaches an error raises it, so neither the work nor the
+    error depends on set order. Enumeration is exponential in nesting
     depth, so existentials, one-argument lambdas and superlative
     applications are memoized per binding of their free variables: the
     free variables of every node are found in one walk of the term, and a
@@ -86,6 +88,7 @@ class _OracleEval:
         self.base = frozenset(kb.entity_domain).union(self._constants)
         self.candidates = tuple(sorted(self.base, key=core.value_sort_key))
         self.rich = self.base.union(*kb.backward.values())
+        self.rich_candidates = _sorted_in(self.candidates, self.rich - self.base)
         self._memos: dict = {}
         self._count_fns: dict = {}
 
@@ -213,16 +216,16 @@ class _OracleEval:
         """env -> the denotation of a one-argument lambda term."""
         if not (isinstance(term, lc.Lam) and _is_formula(term.body)):
             return _fails(IllTyped, "expected a one-argument lambda term")
-        var, base = term.var, self.base
+        var = term.var
         body = self.formula(term.body, scope | {var})
-        countable = self._countable(term.body)
+        domain_of = self._domain(self.candidates, self.base, term.body)
         key, memo = self._memo(term, scope)
 
         def value_set(env):
             k = key(env)
             members = memo.get(k)
             if members is None:
-                domain = base | countable(env) if countable else base
+                domain = domain_of(env)
                 env = env.copy()
                 members = []
                 for v in domain:
@@ -238,11 +241,7 @@ class _OracleEval:
         """Denotation of a two-argument lambda term, both nesting orders."""
         xv, yv, body_t = term.var, term.body.var, term.body.body
         body = self.formula(body_t, frozenset((xv, yv)))
-        rich, countable = self.rich, self._countable(body_t)
-
-        def domain(env):
-            return rich | countable(env) if countable else rich
-
+        domain = self._domain(self.rich_candidates, self.rich, body_t)
         found = set()
         for x in domain({}):
             env = {xv: x}
@@ -275,8 +274,8 @@ class _OracleEval:
             return ill_typed
         sv, dv, body_t = deg.var, deg.body.var, deg.body.body
         body = self.formula(body_t, scope | {sv, dv})
-        countable = self._countable(body_t)
-        rich, best_of = self.rich, max if t.op == "argmax" else min
+        domain = self._domain(self.rich_candidates, self.rich, body_t)
+        best_of = max if t.op == "argmax" else min
         key, memo = self._memo(t, scope)
 
         def sup_set(env):
@@ -287,11 +286,11 @@ class _OracleEval:
             scored = []
             bad = []
             outer = env.copy()
-            for m in members_of(env):
+            for m in sorted(members_of(env), key=core.value_sort_key):
                 outer[sv] = m
                 inner = outer.copy()
                 cands = []
-                for v in rich | countable(outer) if countable else rich:
+                for v in domain(outer):
                     inner[dv] = v
                     if body(inner):
                         cands.append(v)
@@ -309,6 +308,15 @@ class _OracleEval:
             return winners
 
         return sup_set
+
+    def _domain(self, candidates: tuple, values: frozenset, body):
+        """env -> the domain of a variable bound over body: `candidates`,
+        the `values` in `value_sort_key` order, widened with the values of
+        the count subterms of body whose free variables env binds."""
+        countable = self._countable(body)
+        if countable is None:
+            return lambda env: candidates
+        return lambda env: _sorted_in(candidates, countable(env) - values)
 
     def _countable(self, body):
         """env -> the values of the count subterms of body whose free
@@ -334,6 +342,17 @@ class _OracleEval:
 
 
 _NO_NAMES: frozenset = frozenset()
+
+
+def _sorted_in(ordered, extra):
+    """`ordered`, values in `value_sort_key` order, with the values of
+    `extra` (none of them in `ordered`) sorted in."""
+    if not extra:
+        return ordered
+    out = list(ordered)
+    for v in extra:
+        insort(out, v, key=core.value_sort_key)
+    return out
 
 
 def _no_key(env) -> tuple:

@@ -389,3 +389,69 @@ def test_joins_and_superlatives_match_the_set_definitions(case):
         assert got.value.value is exc.value
     else:
         assert eval_unary(u, kb) == expected
+
+
+# --- superlatives by a property, on the ordered path ---------------------------
+# A property's map here has at most six keys, so every non-empty source is
+# large next to it and the evaluator searches the KB's degree order. "n"
+# relates entities to numbers (some to several, with ties and negatives),
+# "p" to numbers and entities.
+
+_RANKED = [Entity(f"r{i}") for i in range(6)]
+_DEGREES = [Number(i) for i in (-3, -1, 0, 2)]
+
+
+@st.composite
+def _ranked_cases(draw):
+    facts = draw(st.sets(
+        st.one_of(
+            st.tuples(st.sampled_from(_RANKED), st.just("n"), st.sampled_from(_DEGREES)),
+            st.tuples(st.sampled_from(_RANKED), st.just("p"),
+                      st.sampled_from(_RANKED + _DEGREES)),
+        ),
+        min_size=1, max_size=14,
+    ))
+    kb = from_triples(Triple(*fact) for fact in facts)
+    degree = Property(draw(st.sampled_from(["n", "n", "p"])))
+    for _ in range(draw(st.integers(0, 2))):  # R[p] relates keys to entities
+        degree = Reverse(degree)
+    # No degree for Number(1) or r6; numbers and entities mixed.
+    values = draw(st.lists(st.sampled_from(_RANKED + _DEGREES + [Number(1), Entity("r6")]),
+                           min_size=1, max_size=8, unique=True))
+    source = EntityLit(values[0])
+    for v in values[1:]:
+        source = Union(source, EntityLit(v))
+    op = draw(st.sampled_from(["argmax", "argmin"]))
+    if draw(st.booleans()):
+        return kb, Mu("v0", Superlative(op, Union(Var("v0"), source), degree))
+    return kb, Superlative(op, source, degree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranked_cases())
+def test_superlatives_by_a_property_match_the_set_definitions(case):
+    kb, u = case
+    try:
+        expected = _naive(u, kb, {})
+    except NonNumericDegree as exc:
+        with pytest.raises(NonNumericDegree) as got:
+            eval_unary(u, kb)
+        assert str(got.value) == str(exc)
+    else:
+        assert eval_unary(u, kb) == expected
+        if not expected:
+            return
+    # A member with a degree, or one with a non-number, means the source
+    # met the map's keys, and so the order was built.
+    assert kb._degree_orders
+
+
+@pytest.mark.parametrize("op", ["argmax", "argmin"])
+def test_a_key_related_to_a_number_and_an_entity_keeps_the_scan_error(op):
+    r0, r1 = _RANKED[:2]
+    kb = from_triples([Triple(r0, "p", Number(2)), Triple(r0, "p", r1),
+                       Triple(r1, "n", Number(5))])
+    u = Superlative(op, Union(EntityLit(r0), EntityLit(r1)), Property("p"))
+    with pytest.raises(NonNumericDegree, match="non-numeric value: r1$"):
+        eval_unary(u, kb)
+    assert kb._degree_orders  # built, and r0 found to be no ranked key

@@ -1,7 +1,9 @@
 """TSV loading, validation, indexing, round-tripping."""
 
+import copy
 import gc
 import io
+import pickle
 import random
 
 import pytest
@@ -15,9 +17,12 @@ from ldcs import (
     Number,
     Triple,
     dump_kb,
+    eval_unary,
     from_triples,
     load_kb,
     load_kb_file,
+    parse_unary,
+    resolve,
 )
 
 
@@ -132,6 +137,49 @@ def test_kb_is_an_immutable_record(kb):
         del kb.forward
     with pytest.raises(TypeError):
         hash(kb)
+
+
+def _superlative(text, kb):
+    return eval_unary(resolve(parse_unary(text), kb, strict=True), kb)
+
+
+def test_degree_orders_stay_out_of_the_kb_value(kb):
+    fresh = load_kb(dump_kb(kb))
+    text, shown = dump_kb(fresh), repr(fresh)
+    assert _superlative("argmax(Type.USState, Area)", fresh) == {Entity("California")}
+    assert _superlative("argmin(Type.USState | Type.City, Area)", fresh) == {
+        Entity("Washington")
+    }
+    assert fresh._degree_orders  # filled by the two class-wide superlatives
+    assert fresh == load_kb(text) and load_kb(text) == fresh and fresh == kb
+    assert repr(fresh) == shown
+    assert dump_kb(fresh) == text
+    with pytest.raises(AttributeError):
+        fresh.triples = frozenset()
+    with pytest.raises(AttributeError):
+        fresh._degree_orders = {}
+    with pytest.raises(TypeError):
+        hash(fresh)
+    for again in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+        assert again == fresh and not again._degree_orders
+
+
+def test_point_superlative_builds_no_degree_order():
+    rng = random.Random(1)
+    names = [Entity(f"E{i}") for i in range(2000)]
+    kb = from_triples(
+        triple
+        for e in names
+        for triple in (Triple(e, "Area", Number(rng.randrange(100))),
+                       Triple(e, "Link", rng.choice(names)))
+    )
+    got = _superlative("argmax(Link.E5 | R[Link].E5, Area)", kb)
+    source = kb.subjects_of("Link", Entity("E5")) | kb.objects_of("Link", Entity("E5"))
+    area = {e: next(iter(kb.objects_of("Area", e))).n for e in source}
+    assert got == {e for e, n in area.items() if n == max(area.values())}
+    assert kb._degree_orders == {}
+    _superlative("argmax(!E5, Area)", kb)
+    assert list(kb._degree_orders) == [("Area", True, "max")]
 
 
 def test_dump_is_sorted_and_loads_back(kb):

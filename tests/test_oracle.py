@@ -314,3 +314,47 @@ def test_check_work_does_not_follow_set_order():
         outputs.add(proc.stdout)
     assert len(outputs) == 1
     assert outputs.pop().startswith("True ")
+
+
+_ONE_ERROR = """
+import sys
+from ldcs import Entity, LdcsError, lc, lc_eval, load_kb_file
+# Entities made first shift the addresses, and so the set order, of the rest.
+padding = [Entity(f"pad{i}") for i in range(int(sys.argv[2]))]
+x, s, z = lc.Var("x"), lc.Var("s"), lc.Var("z")
+person, seattle = lc.Const(Entity("Person")), lc.Const(Entity("Seattle"))
+# Person reaches one error and Seattle another; the least tried first wins.
+either = lc.Or(
+    lc.And(lc.Eq(s, person), seattle),
+    lc.And(lc.Eq(s, seattle), lc.Pred("Type", s, z)),
+)
+both = lc.Lam("y", lc.Or(lc.Eq(lc.Var("y"), person), lc.Eq(lc.Var("y"), seattle)))
+terms = [
+    lc.Lam("s", either),
+    lc.Lam("x", lc.In(x, lc.SupApp("argmax", both, lc.Lam("s", lc.Lam("d", either))))),
+]
+kb = load_kb_file(sys.argv[1])
+for term in terms:
+    try:
+        lc_eval(term, kb)
+    except LdcsError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_the_error_does_not_follow_set_order():
+    # A candidate of a one-argument lambda, or a member of a superlative's
+    # set, that reaches an error raises it: candidates and members are
+    # tried in value order, whatever the addresses of interned values
+    # (which put Person before or after Seattle in a set, run by run).
+    root = pathlib.Path(__file__).resolve().parent.parent
+    fixture, src = root / "fixtures" / "demo.tsv", str(root / "src")
+    outputs = set()
+    for hash_seed, padding in [("1", "0"), ("2", "1"), ("3", "3"), ("4", "5")]:
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _ONE_ERROR, str(fixture), padding],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert outputs == {"IllTyped not a formula: Seattle\n" * 2}
