@@ -98,9 +98,6 @@ class KnowledgeBase(Frozen):
     def __len__(self):
         return len(self.triples)
 
-    def __reduce__(self):  # pickle and copy the fields, not the cache
-        return (self.__class__, _kb_fields(self))
-
     def degree_order(self, prop: str, forward: bool, collapse: str):
         """The keys of a property map ranked by degree, as
         (degrees, keys, mixed).

@@ -218,19 +218,18 @@ class _OracleEval:
             return _fails(IllTyped, "expected a one-argument lambda term")
         var = term.var
         body = self.formula(term.body, scope | {var})
-        domain_of = self._domain(self.candidates, self.base, term.body)
+        domain = self._domain(self.candidates, self.base, term.body)
         key, memo = self._memo(term, scope)
 
         def value_set(env):
             k = key(env)
             members = memo.get(k)
             if members is None:
-                domain = domain_of(env)
-                env = env.copy()
+                inner = env.copy()
                 members = []
-                for v in domain:
-                    env[var] = v
-                    if body(env):
+                for v in domain(env):
+                    inner[var] = v
+                    if body(inner):
                         members.append(v)
                 members = memo[k] = frozenset(members)
             return members
@@ -313,27 +312,20 @@ class _OracleEval:
         """env -> the domain of a variable bound over body: `candidates`,
         the `values` in `value_sort_key` order, widened with the values of
         the count subterms of body whose free variables env binds."""
-        countable = self._countable(body)
-        if countable is None:
-            return lambda env: candidates
-        return lambda env: _sorted_in(candidates, countable(env) - values)
-
-    def _countable(self, body):
-        """env -> the values of the count subterms of body whose free
-        variables env binds; None when body has no count subterm."""
         subs = self._count_subterms.get(id(body))
         if subs is None:
-            return None
+            return lambda env: candidates
         subs = [(self._fv[id(s)], self._count(s)) for s in subs]
 
-        def countable(env):
+        def domain(env):
             bound = env.keys()
-            return frozenset([count(env) for names, count in subs if names <= bound])
+            counts = {count(env) for names, count in subs if names <= bound}
+            return _sorted_in(candidates, counts - values)
 
-        return countable
+        return domain
 
     def _count(self, t: lc.CountApp):
-        """The closure of a count subterm as `_countable` runs it: only
+        """The closure of a count subterm as `_domain` runs it: only
         where all its free variables are bound, so they are its scope."""
         fn = self._count_fns.get(id(t))
         if fn is None:
