@@ -138,25 +138,26 @@ def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
     raise TypeError(f"not a decidable unary form: {u!r}")
 
 
-def _property(b, forward: bool = True):
-    """(name, direction) of a property under any number of R[...], the
-    direction being True when b (or its reverse, when not `forward`) runs
-    from subjects to objects; None for any other b."""
-    while isinstance(b, Reverse):
-        b = b.inner
-        forward = not forward
-    return (b.name, forward) if isinstance(b, Property) else None
-
-
 def _pairs(b, kb: KnowledgeBase, forward: bool = True):
     """The map {x: {y | (x, y) in b}} of a property under any number of
     R[...] (of its reverse when not `forward`), or None for any other b.
     Its sets are never empty."""
-    prop = _property(b, forward)
-    if prop is None:
+    while isinstance(b, Reverse):
+        b = b.inner
+        forward = not forward
+    if not isinstance(b, Property):
         return None
-    name, forward = prop
-    return (kb.forward if forward else kb.backward).get(name, {})
+    return (kb.forward if forward else kb.backward).get(b.name, {})
+
+
+def _property(b):
+    """(name, forward) of the map `_pairs` reads for b, or None. `_pairs`
+    does not call it: joins call `_pairs` once per candidate."""
+    forward = True
+    while isinstance(b, Reverse):
+        b = b.inner
+        forward = not forward
+    return (b.name, forward) if isinstance(b, Property) else None
 
 
 def _image(pairs, xs: frozenset) -> frozenset:
