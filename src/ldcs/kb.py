@@ -13,7 +13,8 @@ import io
 import re
 from collections import namedtuple
 from contextlib import contextmanager
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, not_
 from types import MappingProxyType
 
 from .core import Entity, Frozen, Number, Value, render_value, value_sort_key
@@ -120,27 +121,33 @@ class KnowledgeBase(Frozen):
 
 
 _kb_fields = attrgetter("triples", "forward", "backward", "entity_domain", "property_set")
+_number = attrgetter("n")
 
 
 def _rank(pairs, collapse: str):
     """`KnowledgeBase.degree_order` of one property map."""
-    pick = max if collapse == "max" else min
-    ranked, mixed = [], []
-    for x, ys in pairs.items():
-        if len(ys) == 1:
-            (y,) = ys
-            if isinstance(y, Number):
-                ranked.append((y.n, x))
-                continue
-        else:
+    keys = list(pairs)
+    values = list(chain.from_iterable(pairs.values()))
+    if len(values) == len(keys):
+        # One value per key, as with most properties: every pass below runs
+        # at C speed, in about half the time of the loop over the keys.
+        numeric = list(map(isinstance, values, repeat(Number)))
+        ranked = list(compress(keys, numeric))
+        degrees = list(map(_number, compress(values, numeric)))
+        mixed = frozenset(compress(keys, map(not_, numeric)))
+    else:
+        pick = max if collapse == "max" else min
+        ranked, degrees, mixed = [], [], set()
+        for x, ys in pairs.items():
             ns = [y.n for y in ys if isinstance(y, Number)]
             if len(ns) == len(ys):
-                ranked.append((pick(ns), x))
-                continue
-        mixed.append(x)
-    ranked.sort(key=itemgetter(0), reverse=collapse == "max")
-    degrees, keys = zip(*ranked) if ranked else ((), ())
-    return degrees, keys, frozenset(mixed)
+                ranked.append(x)
+                degrees.append(pick(ns))
+            else:
+                mixed.add(x)
+        mixed = frozenset(mixed)
+    order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=collapse == "max")
+    return tuple(map(degrees.__getitem__, order)), tuple(map(ranked.__getitem__, order)), mixed
 
 
 @contextmanager
