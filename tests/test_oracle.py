@@ -329,9 +329,12 @@ either = lc.Or(
     lc.And(lc.Eq(s, seattle), lc.Pred("Type", s, z)),
 )
 both = lc.Lam("y", lc.Or(lc.Eq(lc.Var("y"), person), lc.Eq(lc.Var("y"), seattle)))
+cities = lc.Lam("y", lc.Pred("Type", lc.Var("y"), lc.Const(Entity("City"))))
 terms = [
     lc.Lam("s", either),
     lc.Lam("x", lc.In(x, lc.SupApp("argmax", both, lc.Lam("s", lc.Lam("d", either))))),
+    # A count widens the domain with a number, sorted in after the entities.
+    lc.Lam("s", lc.Or(either, lc.Eq(s, lc.CountApp(cities)))),
 ]
 kb = load_kb_file(sys.argv[1])
 for term in terms:
@@ -357,4 +360,4 @@ def test_the_error_does_not_follow_set_order():
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         outputs.add(proc.stdout)
-    assert outputs == {"IllTyped not a formula: Seattle\n" * 2}
+    assert outputs == {"IllTyped not a formula: Seattle\n" * 3}
