@@ -392,10 +392,10 @@ def test_joins_and_superlatives_match_the_set_definitions(case):
 
 
 # --- superlatives by a property, on the ordered path ---------------------------
-# A property's map here has at most six keys, so every non-empty source is
-# large next to it and the evaluator searches the KB's degree order. "n"
-# relates entities to numbers (some to several, with ties and negatives),
-# "p" to numbers and entities.
+# A property's map here has at most ten keys, so every source of two or
+# more members is large next to it and the evaluator searches the KB's
+# degree order. "n" relates entities to numbers (some to several, with
+# ties and negatives), "p" to numbers and entities.
 
 _RANKED = [Entity(f"r{i}") for i in range(6)]
 _DEGREES = [Number(i) for i in (-3, -1, 0, 2)]
