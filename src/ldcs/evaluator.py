@@ -267,15 +267,18 @@ def _superlative(u: Superlative, kb, env) -> frozenset:
         # is searched for the first member of the source instead (the order
         # is built once per map, at a cost of a few scans). Where the source
         # holds a key with a non-number degree the scan below runs, so that
-        # it alone raises NonNumericDegree.
+        # it alone raises NonNumericDegree; the first key found in the
+        # source tells, before any order is built, whether it surely does.
         name, forward = prop
         pairs = (kb.forward if forward else kb.backward).get(name, {})
         if pairs and 8 * len(source) >= len(pairs):
-            if pairs.keys().isdisjoint(source):  # at C speed, over the source
+            first = next(filter(pairs.__contains__, source), None)  # C speed
+            if first is None:
                 return _EMPTY
-            degrees, keys, mixed = kb.degree_order(name, forward, collapse)
-            if source.isdisjoint(mixed):
-                return _first_ranked(degrees, keys, source)
+            if all(isinstance(y, Number) for y in pairs[first]):
+                degrees, keys, mixed = kb.degree_order(name, forward, collapse)
+                if source.isdisjoint(mixed):
+                    return _first_ranked(degrees, keys, source)
         related = map(pairs.get, source)
     # Every degree is computed before any error is raised, so that a
     # non-numeric degree is reported the same way whatever the set order.

@@ -439,19 +439,22 @@ def test_superlatives_by_a_property_match_the_set_definitions(case):
         assert str(got.value) == str(exc)
     else:
         assert eval_unary(u, kb) == expected
-        if not expected:
-            return
-    # A member with a degree, or one with a non-number, means the source
-    # met the map's keys, and so the order was built.
-    assert kb._degree_orders
+        if expected:  # a member with a numeric degree and none without
+            assert kb._degree_orders
 
 
 @pytest.mark.parametrize("op", ["argmax", "argmin"])
 def test_a_key_related_to_a_number_and_an_entity_keeps_the_scan_error(op):
-    r0, r1 = _RANKED[:2]
+    r0, r1, r2 = _RANKED[:3]
     kb = from_triples([Triple(r0, "p", Number(2)), Triple(r0, "p", r1),
-                       Triple(r1, "n", Number(5))])
-    u = Superlative(op, Union(EntityLit(r0), EntityLit(r1)), Property("p"))
+                       Triple(r1, "p", Number(5)), Triple(r2, "p", Number(7))])
+    ranked = Union(EntityLit(r1), EntityLit(r2))
+    assert eval_unary(Superlative(op, ranked, Property("p")), kb) == {
+        r2 if op == "argmax" else r1
+    }
+    assert kb._degree_orders
+    # Whichever key of the source the evaluator meets first, r0 is no
+    # ranked key, and the scan raises.
+    u = Superlative(op, Union(EntityLit(r0), ranked), Property("p"))
     with pytest.raises(NonNumericDegree, match="non-numeric value: r1$"):
         eval_unary(u, kb)
-    assert kb._degree_orders  # built, and r0 found to be no ranked key

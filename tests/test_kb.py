@@ -160,6 +160,24 @@ def test_degree_orders_stay_out_of_the_kb_value(kb):
         hash(fresh)
 
 
+def test_degree_order_ranks_the_keys_related_only_to_numbers():
+    a, b, c, d = (Entity(name) for name in "ABCD")
+    kb = from_triples([
+        # "one" relates each key to one value, "two" some keys to two.
+        Triple(a, "one", Number(3)), Triple(b, "one", Number(-1)), Triple(c, "one", d),
+        Triple(a, "two", Number(3)), Triple(a, "two", Number(9)), Triple(b, "two", Number(5)),
+        Triple(c, "two", Number(1)), Triple(c, "two", d),
+    ])
+    assert kb.degree_order("one", True, "max") == ((3, -1), (a, b), {c})
+    assert kb.degree_order("one", True, "min") == ((-1, 3), (b, a), {c})
+    assert kb.degree_order("two", True, "max") == ((9, 5), (a, b), {c})
+    assert kb.degree_order("two", True, "min") == ((3, 5), (a, b), {c})
+    # R[one] reads the map from objects to subjects, which are entities.
+    assert kb.degree_order("one", False, "max") == ((), (), {Number(3), Number(-1), d})
+    assert kb.degree_order("unknown", True, "max") == ((), (), frozenset())
+    assert kb.degree_order("one", True, "max") is kb.degree_order("one", True, "max")
+
+
 def test_point_superlative_builds_no_degree_order():
     rng = random.Random(1)
     names = [Entity(f"E{i}") for i in range(2000)]
