@@ -4,7 +4,10 @@ A unary form denotes a set of values, a binary form a set of pairs. Joins
 dispatch through the KB indexes instead of materializing relations, so
 evaluation stays linear in the touched triples. A join through a property
 reads that property's map once and takes the union of the sets it gives
-the joined values in one C-level call.
+the joined values in one C-level call. A superlative by a property over a
+source large next to that property's map searches the KB's cached degree
+order of the map (`KnowledgeBase.degree_order`) instead of scoring every
+member.
 
 Binders are where variables come back, and the set definitions would
 rebuild the body's whole set once per entity of the domain. Where the body
