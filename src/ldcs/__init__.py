@@ -23,10 +23,9 @@ __version__ = "0.1.0"
 # Each public name, once, under the submodule that defines it.
 _EXPORTS = {
     "core": (
-        "Aggregate", "EMPTY_ENV", "Entity", "EntityLit", "Env", "Intersect",
-        "Join", "Lambda", "Mu", "Negate", "Number", "Property", "Reverse",
-        "Superlative", "Union", "Var", "free_vars", "render_value",
-        "value_sort_key",
+        "Aggregate", "Entity", "EntityLit", "Intersect", "Join", "Lambda",
+        "Mu", "Negate", "Number", "Property", "Reverse", "Superlative",
+        "Union", "Var", "free_vars", "render_value", "value_sort_key",
     ),
     "errors": (
         "BadObject", "BadSubject", "EvalError", "IllTyped", "KbFormatError",

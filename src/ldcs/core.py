@@ -1,4 +1,4 @@
-"""Values, environments, and the logical-form syntax trees.
+"""Values and the logical-form syntax trees.
 
 A unary form denotes a set of values, a binary form a set of value pairs.
 The trees here are plain immutable data, declared with `@node`; parsing,
@@ -9,8 +9,6 @@ protocol (`Node`) is shared with the lambda terms of `lc`.
 from __future__ import annotations
 
 import sys
-
-from .errors import UnboundVariable
 
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
@@ -122,38 +120,6 @@ def value_sort_key(v: Value):
 
 def render_value(v: Value) -> str:
     return v.entity_id if isinstance(v, Entity) else str(v.n)
-
-
-class Env(Frozen):
-    """An immutable variable environment. Unbound lookup raises, never defaults."""
-
-    def __init__(self, bindings: dict[str, Value]):
-        object.__setattr__(self, "bindings", bindings)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.bindings == other.bindings
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Env(bindings={self.bindings!r})"
-
-    def lookup(self, name: str) -> Value:
-        try:
-            return self.bindings[name]
-        except KeyError:
-            raise UnboundVariable(name) from None
-
-    def bind(self, name: str, value: Value) -> Env:
-        merged = dict(self.bindings)
-        merged[name] = value
-        return Env(merged)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-
-EMPTY_ENV = Env({})
 
 
 # --- the tree protocol ----------------------------------------------------------

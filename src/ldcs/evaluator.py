@@ -9,21 +9,27 @@ source large next to that property's map searches the KB's cached degree
 order of the map (`KnowledgeBase.degree_order`) instead of scoring every
 member.
 
-Binders are where variables come back, and the set definitions would
+Binders are where variables come back. They are bound in a plain dict
+from names to values: a binder evaluates its body under `{**env, var: x}`
+and never changes the mapping it was given. Every binary is read through
+one join (`_join`), in either direction. The set definitions would
 rebuild the body's whole set once per entity of the domain. Where the body
 is simple enough (see `_decidable`), `mu` and the `lam` joins instead ask
 whether each candidate is a member (`_contains`), which probes the indexes
-from that candidate and never builds a complement.
+from that candidate and never builds a complement. Where they do build the
+body's set per binding, and where a superlative reads each member's degree
+through a binder, a body that raises for several bindings raises the error
+of the least of them by `value_sort_key` (see `_each`).
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .core import (
-    EMPTY_ENV,
     Aggregate,
     EntityLit,
     Entity,
-    Env,
     Intersect,
     Join,
     Lambda,
@@ -37,22 +43,27 @@ from .core import (
     Var,
     value_sort_key,
 )
-from .errors import NonNumericDegree
+from .errors import EvalError, NonNumericDegree, UnboundVariable
 from .kb import KnowledgeBase
 
 __all__ = ["eval_unary", "eval_binary", "degree_of"]
 
 _EMPTY: frozenset = frozenset()
+_NO_BINDINGS = MappingProxyType({})
 
 
-def eval_unary(u, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
-    """The set of values denoted by u."""
+def eval_unary(u, kb: KnowledgeBase, env=_NO_BINDINGS) -> frozenset:
+    """The set of values denoted by u, with its free variables bound by the
+    mapping `env` from names to values (which is never changed)."""
     if isinstance(u, EntityLit):
         return frozenset({u.value})
     if isinstance(u, Var):
-        return frozenset({env.lookup(u.name)})
+        try:
+            return frozenset({env[u.name]})
+        except KeyError:
+            raise UnboundVariable(u.name) from None
     if isinstance(u, Join):
-        return _join_subjects(u.binary, eval_unary(u.unary, kb, env), kb, env)
+        return _join(u.binary, eval_unary(u.unary, kb, env), kb, env, False)
     if isinstance(u, Intersect):
         # A & !B is (A & domain) - B: the complement of B is never built.
         if isinstance(u.right, Negate):
@@ -71,16 +82,36 @@ def eval_unary(u, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
     if isinstance(u, Superlative):
         return _superlative(u, kb, env)
     if isinstance(u, Mu):
-        if _decidable(u.body, {*env.bindings, u.var}):
+        if _decidable(u.body, {*env, u.var}):
             return frozenset(
                 x for x in kb.entity_domain
-                if _contains(x, u.body, kb, env.bind(u.var, x))
+                if _contains(x, u.body, kb, {**env, u.var: x})
             )
-        return frozenset(
-            x for x in kb.entity_domain
-            if x in eval_unary(u.body, kb, env.bind(u.var, x))
-        )
+        return frozenset(x for x, xs in _each(_body(u, kb, env), kb.entity_domain) if x in xs)
     raise TypeError(f"not a resolved unary form: {u!r}")
+
+
+def _body(binder, kb: KnowledgeBase, env):
+    """The function from a value y to the set the body of a mu or lam
+    denotes when its variable is bound to y."""
+    body, var = binder.body, binder.var
+    return lambda y: eval_unary(body, kb, {**env, var: y})
+
+
+def _each(f, xs):
+    """(x, f(x)) for each x of xs, in set order.
+
+    Should f raise an EvalError, it is called again on xs in
+    `value_sort_key` order and the least x's error is raised, so that the
+    error does not follow the set order of xs.
+    """
+    try:
+        for x in xs:
+            yield x, f(x)
+    except EvalError:
+        for x in sorted(xs, key=value_sort_key):
+            f(x)
+        raise
 
 
 def _decidable(u, bound) -> bool:
@@ -109,7 +140,7 @@ def _decidable(u, bound) -> bool:
     return False
 
 
-def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
+def _contains(x, u, kb: KnowledgeBase, env) -> bool:
     """Whether x is in the set u denotes, for a u that `_decidable` accepts.
 
     Values are interned, so a literal or a variable matches by identity.
@@ -121,7 +152,7 @@ def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
         if isinstance(inner, EntityLit):
             return inner.value in related
         if isinstance(inner, Var):
-            return env.lookup(inner.name) in related
+            return env[inner.name] in related
         for y in related:
             if _contains(y, inner, kb, env):
                 return True
@@ -133,11 +164,11 @@ def _contains(x, u, kb: KnowledgeBase, env: Env) -> bool:
     if isinstance(u, Negate):
         return x in kb.entity_domain and not _contains(x, u.inner, kb, env)
     if isinstance(u, Var):
-        return x is env.lookup(u.name)
+        return x is env[u.name]
     if isinstance(u, EntityLit):
         return x is u.value
     if isinstance(u, Mu):
-        return x in kb.entity_domain and _contains(x, u.body, kb, env.bind(u.var, x))
+        return x in kb.entity_domain and _contains(x, u.body, kb, {**env, u.var: x})
     raise TypeError(f"not a decidable unary form: {u!r}")
 
 
@@ -171,8 +202,8 @@ def _image(pairs, xs: frozenset) -> frozenset:
     return _EMPTY.union(*filter(None, map(pairs.get, xs)))
 
 
-def eval_binary(b, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
-    """The set of (subject, object) pairs denoted by b."""
+def eval_binary(b, kb: KnowledgeBase, env=_NO_BINDINGS) -> frozenset:
+    """The set of (subject, object) pairs denoted by b under `env`."""
     if isinstance(b, Property):
         return frozenset(
             (x, y) for x, ys in kb.forward.get(b.name, {}).items() for y in ys
@@ -181,53 +212,39 @@ def eval_binary(b, kb: KnowledgeBase, env: Env = EMPTY_ENV) -> frozenset:
         return frozenset((y, x) for x, y in eval_binary(b.inner, kb, env))
     if isinstance(b, Lambda):
         return frozenset(
-            (x, y)
-            for y in kb.entity_domain
-            for x in eval_unary(b.body, kb, env.bind(b.var, y))
+            (x, y) for y, xs in _each(_body(b, kb, env), kb.entity_domain) for x in xs
         )
     raise TypeError(f"not a resolved binary form: {b!r}")
 
 
-def _join_subjects(b, objs: frozenset, kb, env) -> frozenset:
-    """{x | some y in objs has (x, y) in b}"""
-    pairs = _pairs(b, kb, forward=False)
+def _join(b, xs: frozenset, kb, env, forward: bool) -> frozenset:
+    """{y | some x in xs has (x, y) in b}, or (x, y) swapped when not
+    `forward`."""
+    pairs = _pairs(b, kb, forward)
     if pairs is not None:
-        return _image(pairs, objs)
-    if isinstance(b, Reverse):
-        return _join_objects(b.inner, objs, kb, env)
-    if isinstance(b, Lambda):
+        return _image(pairs, xs)
+    while isinstance(b, Reverse):
+        b = b.inner
+        forward = not forward
+    if not isinstance(b, Lambda):
+        raise TypeError(f"not a resolved binary form: {b!r}")
+    if not forward:
         out = set()
-        for y in objs & kb.entity_domain:
-            out |= eval_unary(b.body, kb, env.bind(b.var, y))
+        for _, ys in _each(_body(b, kb, env), xs & kb.entity_domain):
+            out |= ys
         return frozenset(out)
-    raise TypeError(f"not a resolved binary form: {b!r}")
-
-
-def _join_objects(b, subjs: frozenset, kb, env) -> frozenset:
-    """{y | some x in subjs has (x, y) in b}"""
-    pairs = _pairs(b, kb)
-    if pairs is not None:
-        return _image(pairs, subjs)
-    if isinstance(b, Reverse):
-        return _join_subjects(b.inner, subjs, kb, env)
-    if isinstance(b, Lambda):
-        # With one subject, a membership test per binding replaces building
-        # the body's set. With more, a test per binding and subject can cost
-        # more than the set, so those keep the set path.
-        if len(subjs) == 1 and _decidable(b.body, {*env.bindings, b.var}):
-            (x,) = subjs
-            return frozenset(
-                y for y in kb.entity_domain
-                if _contains(x, b.body, kb, env.bind(b.var, y))
-            )
+    # With one subject, a membership test per binding replaces building the
+    # body's set. With more, a test per binding and subject can cost more
+    # than the set, so those keep the set path.
+    if len(xs) == 1 and _decidable(b.body, {*env, b.var}):
+        (x,) = xs
         return frozenset(
-            y for y in kb.entity_domain
-            if eval_unary(b.body, kb, env.bind(b.var, y)) & subjs
+            y for y in kb.entity_domain if _contains(x, b.body, kb, {**env, b.var: y})
         )
-    raise TypeError(f"not a resolved binary form: {b!r}")
+    return frozenset(y for y, ys in _each(_body(b, kb, env), kb.entity_domain) if ys & xs)
 
 
-def degree_of(x, b, kb: KnowledgeBase, env: Env = EMPTY_ENV, collapse: str = "max"):
+def degree_of(x, b, kb: KnowledgeBase, env=_NO_BINDINGS, collapse: str = "max"):
     """The number b relates x to, or None if there is none.
 
     An element related to several numbers collapses to the largest (or the
@@ -235,7 +252,7 @@ def degree_of(x, b, kb: KnowledgeBase, env: Env = EMPTY_ENV, collapse: str = "ma
     NonNumericDegree, naming the least such value by `value_sort_key`.
     """
     bad = []
-    d = _degree(_join_objects(b, frozenset({x}), kb, env), collapse, bad)
+    d = _degree(_join(b, frozenset({x}), kb, env, True), collapse, bad)
     if bad:
         raise NonNumericDegree(min(bad, key=value_sort_key))
     return d
@@ -263,7 +280,8 @@ def _superlative(u: Superlative, kb, env) -> frozenset:
     source = eval_unary(u.source, kb, env)
     prop = _property(u.degree)
     if prop is None:
-        related = [_join_objects(u.degree, frozenset({x}), kb, env) for x in source]
+        joined = _each(lambda x: _join(u.degree, frozenset({x}), kb, env, True), source)
+        related = [ys for _, ys in joined]
     else:
         # A degree through a property is read from that property's map. For
         # a source large next to the map, the KB's degree order of the map

@@ -1,4 +1,4 @@
-"""Value types, environments, and the form AST."""
+"""Value types and the form AST."""
 
 import copy
 import dataclasses
@@ -7,10 +7,8 @@ import pickle
 import pytest
 
 from ldcs import (
-    EMPTY_ENV,
     Aggregate,
     Entity,
-    Env,
     EntityLit,
     Intersect,
     Join,
@@ -20,7 +18,6 @@ from ldcs import (
     Property,
     Reverse,
     Superlative,
-    UnboundVariable,
     Var,
     free_vars,
     render_value,
@@ -133,28 +130,6 @@ def test_render_value():
     assert render_value(Number(-7)) == "-7"
 
 
-def test_env_bind_is_persistent():
-    e1 = EMPTY_ENV.bind("a", Entity("X"))
-    e2 = e1.bind("b", Number(1))
-    assert e2.lookup("a") == Entity("X")
-    assert "b" not in e1
-    with pytest.raises(UnboundVariable):
-        EMPTY_ENV.lookup("a")
-
-
-def test_env_is_an_immutable_record():
-    e = EMPTY_ENV.bind("a", Entity("X"))
-    assert e == Env({"a": Entity("X")}) and e != EMPTY_ENV
-    assert e != {"a": Entity("X")}
-    assert repr(e) == "Env(bindings={'a': Entity(entity_id='X')})"
-    with pytest.raises(AttributeError):
-        e.bindings = {}
-    with pytest.raises(AttributeError):
-        del e.bindings
-    with pytest.raises(TypeError):
-        hash(e)
-
-
 def test_aggregate_and_superlative_ops_checked():
     inner = EntityLit(Entity("A"))
     with pytest.raises(ValueError):
@@ -173,8 +148,8 @@ def test_free_vars():
 
 
 PUBLIC_NAMES = {
-    "Aggregate", "BadObject", "BadSubject", "EMPTY_ENV", "Entity", "EntityLit",
-    "Env", "EquivalenceReport", "EvalError", "GenSchema", "IllTyped", "Intersect",
+    "Aggregate", "BadObject", "BadSubject", "Entity", "EntityLit",
+    "EquivalenceReport", "EvalError", "GenSchema", "IllTyped", "Intersect",
     "Join", "KbFormatError", "KnowledgeBase", "Lambda", "LdcsError",
     "MalformedLine", "Mismatch", "Mu", "Negate", "NonNumericDegree", "Number",
     "ParseError", "Property", "ResolveError", "Reverse", "ShadowedVariable",
@@ -192,7 +167,7 @@ PUBLIC_NAMES = {
 def test_public_names():
     import ldcs
 
-    assert len(ldcs.__all__) == len(PUBLIC_NAMES) == 64
+    assert len(ldcs.__all__) == len(PUBLIC_NAMES) == 62
     assert set(ldcs.__all__) == PUBLIC_NAMES
     for name in ldcs.__all__:
         assert getattr(ldcs, name) is not None

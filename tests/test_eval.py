@@ -4,11 +4,15 @@ Every expected set below was cross-checked against the brute-force
 enumeration semantics; the tests assert both engines to keep it that way.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldcs import (
-    EMPTY_ENV,
     Aggregate,
     Entity,
     EntityLit,
@@ -118,9 +122,31 @@ def test_join_objects_empty(kb):
 
 def test_eval_env_and_unbound(kb):
     u = resolve(parse_unary("(mu x . Border.x)"), kb, strict=True)
-    assert eval_unary(u.body, kb, EMPTY_ENV.bind("x", OR)) == {WA, CA}
-    with pytest.raises(UnboundVariable):
+    assert eval_unary(u.body, kb, {"x": OR}) == {WA, CA}
+    with pytest.raises(UnboundVariable, match="^unbound variable: x$") as got:
         eval_unary(u.body, kb)
+    assert got.value.name == "x"
+    # The parser reads a free name as an entity; a hand-built tree can hold one.
+    y, z = Var("y"), Var("z")
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        eval_unary(Mu("y", Intersect(Join(Property("Border"), y), z)), kb, {"y": CA})
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        eval_binary(Lambda("y", Union(y, z)), kb)
+
+
+@pytest.mark.parametrize("text", [
+    "(mu y . Border.y & Border.x)",
+    "R[(lam y . Border.y | x)].Oregon",
+    "(lam y . count(Border.y & !x)).Washington",
+    "(mu y . y & argmax(y | x, Area))",
+])
+def test_binders_leave_the_callers_bindings_alone(text, kb):
+    # x is free in the body of the mu; the form's own binder shadows y.
+    u = resolve(parse_unary(f"(mu x . {text})"), kb, strict=True).body
+    env = {"x": WA, "y": CA}
+    got = eval_unary(u, kb, env)
+    assert env == {"x": WA, "y": CA}
+    assert got == _naive(u, kb, env)
 
 
 def test_eval_binary_property(kb):
@@ -216,7 +242,13 @@ def _naive(u, kb, env):
     if isinstance(u, Superlative):
         return _naive_superlative(u, kb, env)
     assert isinstance(u, Mu)
-    return {x for x in kb.entity_domain if x in _naive(u.body, kb, {**env, u.var: x})}
+    return {x for x in _domain(kb) if x in _naive(u.body, kb, {**env, u.var: x})}
+
+
+def _domain(kb):
+    """The entities in value order: a binding whose body raises names the
+    least binding's error, whatever the set order."""
+    return sorted(kb.entity_domain, key=value_sort_key)
 
 
 def _naive_superlative(u, kb, env):
@@ -238,9 +270,7 @@ def _naive_pairs(b, kb, env):
         return {(t.subject, t.object) for t in kb.triples if t.property == b.name}
     if isinstance(b, Reverse):
         return {(y, x) for x, y in _naive_pairs(b.inner, kb, env)}
-    return {
-        (x, y) for y in kb.entity_domain for x in _naive(b.body, kb, {**env, b.var: y})
-    }
+    return {(x, y) for y in _domain(kb) for x in _naive(b.body, kb, {**env, b.var: y})}
 
 
 def _unary(draw, depth, scope):
@@ -260,8 +290,14 @@ def _unary(draw, depth, scope):
         return Negate(_unary(draw, depth - 1, scope))
     if kind == "count":
         return Aggregate("count", _unary(draw, depth - 1, scope))
-    var = f"v{len(scope)}"
+    var = _binder(draw, scope)
     return Mu(var, _unary(draw, depth - 1, scope + (var,)))
+
+
+def _binder(draw, scope):
+    """A fresh variable name, or now and then an enclosing binder's: the
+    parser refuses such shadowing, the evaluator must not."""
+    return draw(st.sampled_from((f"v{len(scope)}",) * 3 + scope))
 
 
 def _binary(draw, depth, scope):
@@ -269,25 +305,33 @@ def _binary(draw, depth, scope):
     if kind == "prop":
         b = Property(draw(st.sampled_from(["p", "q"])))
     else:
-        var = f"v{len(scope)}"
+        var = _binder(draw, scope)
         b = Lambda(var, _unary(draw, depth - 1, scope + (var,)))
-    return Reverse(b) if draw(st.booleans()) else b
+    for _ in range(draw(st.integers(0, 2))):
+        b = Reverse(b)
+    return b
 
 
-@st.composite
-def _binder_cases(draw):
+def _small_kb(draw):
     triples = draw(st.sets(
         st.tuples(st.sampled_from(_ENTS[:4]), st.sampled_from(["p", "q"]),
                   st.sampled_from(_OBJS)),
         min_size=3, max_size=12,
     ))
-    kb = from_triples(Triple(s, p, o) for s, p, o in triples)
+    return from_triples(Triple(s, p, o) for s, p, o in triples)
+
+
+@st.composite
+def _binder_cases(draw):
+    kb = _small_kb(draw)
     var = draw(st.sampled_from(["mu", "lam"]))
     body = _unary(draw, 3, ("v0",))
     if var == "mu":
         return kb, Mu("v0", body)
-    lam = Lambda("v0", body)
-    return kb, Join(Reverse(lam) if draw(st.booleans()) else lam, _unary(draw, 2, ()))
+    b = Lambda("v0", body)
+    for _ in range(draw(st.integers(0, 2))):
+        b = Reverse(b)
+    return kb, Join(b, _unary(draw, 2, ()))
 
 
 @pytest.mark.parametrize("text", [
@@ -303,11 +347,74 @@ def test_membership_keeps_numbers_out_of_the_domain(text, kb):
     assert eval_unary(u, kb) == _naive(u, kb, {})
 
 
+def _border(u):
+    return Join(Property("Border"), u)
+
+
+@pytest.mark.parametrize("u", [
+    # The inner x is bound to each neighbour in turn; the outer x must
+    # still be the candidate when the right side reads it.
+    Mu("x", Intersect(_border(Mu("x", Var("x"))), _border(Var("x")))),
+    Mu("x", Intersect(_border(Mu("x", Var("x"))), Negate(Var("x")))),
+    Join(Reverse(Lambda("x", Union(_border(Mu("x", _border(Var("x")))), Var("x")))), EntityLit(OR)),
+    Mu("x", Intersect(Var("x"), Aggregate("count", _border(Mu("x", Var("x")))))),
+], ids=["mu-join", "mu-negate", "lam", "count"])
+def test_a_shadowing_binder_matches_the_set_definitions(u, kb):
+    # The parser refuses a binder that shadows another; the evaluator takes it.
+    assert eval_unary(u, kb) == _naive(u, kb, {})
+
+
 @settings(max_examples=200, deadline=None)
 @given(_binder_cases())
 def test_binders_match_the_set_definitions(case):
     kb, u = case
     assert eval_unary(u, kb) == _naive(u, kb, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_binaries_match_the_set_definitions(data):
+    kb = _small_kb(data.draw)
+    b = _binary(data.draw, 3, ())
+    assert eval_binary(b, kb) == _naive_pairs(b, kb, {})
+
+
+_LEAST_ERROR = """
+import sys
+from ldcs import Entity, LdcsError, eval_unary, load_kb_file, parse_unary, resolve
+# Entities made first shift the addresses, and so the set order, of the rest.
+padding = [Entity(f"pad{i}") for i in range(int(sys.argv[2]))]
+kb = load_kb_file(sys.argv[1])
+for text in sys.argv[3:]:
+    try:
+        eval_unary(resolve(parse_unary(text), kb, strict=True), kb)
+    except LdcsError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_a_raising_binder_reports_the_least_bindings_error():
+    # Each binding of x (of y) that is a class raises, naming the least of
+    # its members; the least such binding is City, whose least member is
+    # Portland, whatever the addresses of interned values. The last form
+    # binds y to each member of a superlative's source.
+    forms = [
+        "(mu x . x & argmin(x | 71 | Type.USState, R[Type]))",
+        "(mu x . x & argmax(x | Type.City, R[Type]))",
+        "R[(lam y . argmax(y | Type.USState, R[Type]))].Type.USState",
+        "argmax(City | USState, R[(lam y . argmax(y, R[Type]))])",
+    ]
+    root = pathlib.Path(__file__).resolve().parent.parent
+    fixture, src = root / "fixtures" / "demo.tsv", str(root / "src")
+    outputs = set()
+    for hash_seed, padding in [("1", "0"), ("2", "1"), ("3", "3"), ("4", "5")]:
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _LEAST_ERROR, str(fixture), padding, *forms],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert outputs == {"NonNumericDegree degree produced a non-numeric value: Portland\n" * 4}
 
 
 # --- joins and superlatives against the set definitions ----------------------
