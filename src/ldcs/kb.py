@@ -3,7 +3,8 @@
 One triple per line: subject, property, object separated by single tabs.
 Objects may be integer literals; subjects may not. Empty lines and lines
 starting with '#' are skipped. Duplicate triples collapse. Names must be
-ones a query can write: no '.' (the join operator) and no keyword.
+ones a query can write: no '.' (the join operator) and no keyword of
+either grammar.
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from .core import Entity, Node, Number, Value, Variable, node, render_value
 from .core import free_vars  # noqa: F401  (one walker for both trees; lc.free_vars)
-from .errors import ParseError
-from .parser import IDENT_RULE, INT_RULE, MAX_DEPTH, Cursor, Lexicon
+from .parser import MAX_DEPTH, Cursor, Lexicon
 
 
 class LCTerm(Node):
@@ -230,107 +229,100 @@ class _LcParser(Cursor):
     Each `!`, binder, `(`, `[` and `name(` opens a level of nesting.
     """
 
-    LEXICON = Lexicon({
-        "INT": INT_RULE, "IDENT": IDENT_RULE,
-        "OR": r"\|\|", "AND": "&", "NOT": "!", "EQ": "=", "DOT": r"\.", "COMMA": ",",
-        "LPAREN": r"\(", "RPAREN": r"\)", "LBRACKET": r"\[", "RBRACKET": r"\]",
-    })
+    LEXICON = Lexicon(("||", "&", "!", "=", ".", ",", "(", ")", "[", "]"))
     KEYWORDS = frozenset({"lambda", "exists", "count", "argmax", "argmin", "in"})
     MAX_DEPTH = LC_MAX_DEPTH
 
     def term(self, scope: frozenset[str]) -> LCTerm:
         """Binders, then a disjunction of conjunctions of atoms."""
+        texts = self.texts
         binders = []
-        tok = self.peek()
-        while tok.kind == "IDENT" and tok.text in ("lambda", "exists"):
-            self.nest(tok)
-            self.advance()
+        while texts[self.i] in ("lambda", "exists"):
+            word = texts[self.i]
+            self.nest()
+            self.i += 1
             name = self.binder_name()
-            self.expect("DOT", "'.' after binder")
-            binders.append((tok.text, name))
+            self.expect(".", "'.' after binder")
+            binders.append((word, name))
             scope = scope | {name}
-            tok = self.peek()
         t = None
         while True:
             conj = self.atom(scope)
-            while self.peek().kind == "AND":
-                self.advance()
+            while texts[self.i] == "&":
+                self.i += 1
                 conj = And(conj, self.atom(scope))
             t = conj if t is None else Or(t, conj)
-            if self.peek().kind != "OR":
+            if texts[self.i] != "||":
                 break
-            self.advance()
+            self.i += 1
         for word, name in reversed(binders):
             t = Lam(name, t) if word == "lambda" else Exists(name, t)
         self.depth -= len(binders)
         return t
 
     def atom(self, scope) -> LCTerm:
-        tok = self.peek()
-        if tok.kind == "INT":
+        i = self.i
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "INT":
             return Const(Number(self.integer()))
-        if tok.kind == "IDENT":
-            if tok.text in ("lambda", "exists"):
-                raise ParseError(tok.pos, f"a term (found keyword {tok.text!r})")
-            if tok.text not in self.KEYWORDS and self.peek(1).kind != "LPAREN":
-                self.advance()
-                return self._name(tok, scope)
-        elif tok.kind not in ("NOT", "LBRACKET", "LPAREN"):
-            raise ParseError(tok.pos, "a term")
-        self.nest(tok)
-        self.advance()
-        if tok.kind == "NOT":
+        if kind == "IDENT":
+            if text in ("lambda", "exists"):
+                self.fail(f"a term (found keyword {text!r})")
+            if text not in self.KEYWORDS and self.texts[i + 1] != "(":
+                self.i = i + 1
+                return Var(text) if text in scope else Const(Entity(text))
+        elif text not in ("!", "[", "("):
+            self.fail("a term")
+        self.nest()
+        self.i = i + 1
+        if text == "!":
             t = Not(self.atom(scope))
-        elif tok.kind == "LBRACKET":
+        elif text == "[":
             left = self.element(scope)
-            self.expect("EQ", "'=' in equality")
+            self.expect("=", "'=' in equality")
             right = self.element(scope)
-            self.expect("RBRACKET", "']' closing equality")
+            self.expect("]", "']' closing equality")
             t = Eq(left, right)
-        elif tok.kind == "LPAREN":
+        elif text == "(":
             t = self.term(scope)
-            self.expect("RPAREN", "')'")
-        elif tok.text == "count":
-            self.expect("LPAREN", "'(' after count")
+            self.expect(")", "')'")
+        elif text == "count":
+            self.expect("(", "'(' after count")
             t = CountApp(self.term(scope))
-            self.expect("RPAREN", "')' closing count")
-        elif tok.text in ("argmax", "argmin"):
-            self.expect("LPAREN", f"'(' after {tok.text}")
+            self.expect(")", "')' closing count")
+        elif text in ("argmax", "argmin"):
+            self.expect("(", f"'(' after {text}")
             set_term = self.term(scope)
-            self.expect("COMMA", "',' between superlative arguments")
+            self.expect(",", "',' between superlative arguments")
             degree = self.term(scope)
-            self.expect("RPAREN", f"')' closing {tok.text}")
-            t = SupApp(tok.text, set_term, degree)
-        elif tok.text == "in":
-            self.expect("LPAREN", "'(' after in")
+            self.expect(")", f"')' closing {text}")
+            t = SupApp(text, set_term, degree)
+        elif text == "in":
+            self.expect("(", "'(' after in")
             element = self.element(scope)
-            self.expect("COMMA", "',' in membership")
+            self.expect(",", "',' in membership")
             set_expr = self.term(scope)
-            self.expect("RPAREN", "')' closing in")
+            self.expect(")", "')' closing in")
             t = In(element, set_expr)
         else:
-            self.advance()
+            self.i += 1
             a1 = self.element(scope)
-            self.expect("COMMA", "',' between predicate arguments")
+            self.expect(",", "',' between predicate arguments")
             a2 = self.element(scope)
-            self.expect("RPAREN", "')' closing predicate")
-            t = Pred(tok.text, a1, a2)
+            self.expect(")", "')' closing predicate")
+            t = Pred(text, a1, a2)
         self.depth -= 1
         return t
 
     def element(self, scope) -> LCTerm:
-        tok = self.peek()
-        if tok.kind == "INT" or (tok.kind == "IDENT" and tok.text == "count"):
+        i = self.i
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "INT" or text == "count":
             return self.atom(scope)
-        if tok.kind == "IDENT" and tok.text not in self.KEYWORDS:
-            self.advance()
-            return self._name(tok, scope)
-        raise ParseError(tok.pos, "an element (variable, constant, or count)")
-
-    def _name(self, tok, scope) -> LCTerm:
-        if tok.text in scope:
-            return Var(tok.text)
-        return Const(Entity(tok.text))
+        if kind == "IDENT" and text not in self.KEYWORDS:
+            self.i = i + 1
+            return Var(text) if text in scope else Const(Entity(text))
+        self.fail("an element (variable, constant, or count)")
 
 
 def parse_lc(text: str) -> LCTerm:

@@ -13,6 +13,7 @@ Grammar, loosest binding first:
 Identifiers may contain ':' for namespacing. A '.' always acts as the join
 operator, so a dotted name like `Children.PlaceOfBirth.Seattle` reads as a
 join chain; identifiers themselves cannot contain dots in expression text.
+No keyword of either grammar (KEYWORDS) is a name.
 
 Where a name stands decides what it is, and the parser classifies each
 name as it reads it: under an enclosing mu or lam binder of that name it
@@ -28,14 +29,13 @@ first level too many, where it would otherwise exhaust Python's recursion
 limit in the parser or in the tree walks that follow it.
 
 The lexer and the token cursor here serve the lambda-term parser in `lc`
-as well, each grammar bringing its own token table.
+as well, each grammar bringing its own punctuation.
 """
 
 from __future__ import annotations
 
 import re
-from functools import partial
-from typing import NamedTuple
+from typing import NoReturn
 
 from .core import (
     INT64_MAX,
@@ -66,69 +66,58 @@ from .errors import (
     VariableInBinaryPosition,
 )
 
-KEYWORDS = {"mu", "lam", "count", "argmax", "argmin"}
+# The words of both grammars: a form uses none of them as a name, so that
+# its translation to a lambda term reads back as the same term.
+KEYWORDS = frozenset({"mu", "lam", "count", "argmax", "argmin", "lambda", "exists", "in"})
 
 MAX_DEPTH = 100
 
 
 # --- lexing -------------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-class Lexicon:
-    """A grammar's token table, compiled into one regular expression.
-
-    `rules` maps each token kind to its regex, tried in order at each
-    position; `errors` maps a regex, tried after them, to what the
-    ParseError at its match says was expected. The regexes use no
-    capturing groups. Whitespace separates tokens; any other text that
-    nothing matches is a ParseError too.
-    """
-
-    def __init__(self, rules: dict[str, str], errors: dict[str, str] | None = None):
-        groups = {"SPACE": r"\s+", **rules}
-        self.errors: dict[str, str | None] = {}
-        for i, (regex, expected) in enumerate((errors or {}).items()):
-            groups[f"ERROR{i}"] = regex
-            self.errors[f"ERROR{i}"] = expected
-        groups["UNKNOWN"] = "."
-        self.errors["UNKNOWN"] = None  # expected: "a token (found ...)"
-        self.regex = re.compile(
-            "|".join(f"(?P<{kind}>{regex})" for kind, regex in groups.items()), re.DOTALL
-        )
-
-
-# Token(kind, text, pos) without the Python-level __new__ of a NamedTuple.
-_token = partial(tuple.__new__, Token)
-
-
-def lex(text: str, lexicon: Lexicon) -> list[Token]:
-    """The tokens of `text`, ending with an EOF token at its end."""
-    toks = []
-    errors = lexicon.errors
-    for m in lexicon.regex.finditer(text):
-        kind = m.lastgroup
-        if kind == "SPACE":
-            continue
-        if kind in errors:
-            raise ParseError(m.start(), errors[kind] or f"a token (found {m.group()!r})")
-        toks.append(_token((kind, m.group(), m.start())))
-    toks.append(Token("EOF", "", len(text)))
-    return toks
-
-
 # Integers and identifiers read the same in both grammars. Identifiers may
 # contain ':' for namespacing; a '.' is always a token of its own.
 INT_RULE = r"-?[0-9]+"
 IDENT_RULE = r"[A-Za-z_][A-Za-z0-9_:]*"
 
+# The kind of a token that is not punctuation, by its first character. A
+# lone '-' is in every grammar's table as an error, so a text that starts
+# with '-' here has digits after it.
+_KIND_BY_START = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
+    **dict.fromkeys("-0123456789", "INT"),
+}
+
+
+class Lexicon:
+    """A grammar's punctuation, compiled with the shared rules into one scan.
+
+    `scan.findall` gives the texts of the tokens, whitespace skipped. A
+    punctuation token's kind is its text; other tokens are INT or IDENT by
+    their first character. `errors` maps a text that is no token to what
+    the ParseError at it says was expected; any other non-space character
+    that no rule matches is a ParseError too.
+    """
+
+    def __init__(self, punctuation: tuple[str, ...], errors: dict[str, str] | None = None):
+        self.errors = errors or {}
+        self.kinds = {p: p for p in punctuation} | dict.fromkeys(("-", *self.errors), "ERROR")
+        longest_first = map(re.escape, sorted(punctuation, key=len, reverse=True))
+        self.scan = re.compile("|".join((INT_RULE, IDENT_RULE, *longest_first, r"\S")))
+
+    def kinds_of(self, texts: list[str]) -> list[str]:
+        table = self.kinds
+        return [table.get(t) or _KIND_BY_START.get(t[0], "ERROR") for t in texts]
+
+
 class Cursor:
-    """Recursive descent over a token list: the parsers of both grammars
-    read their tokens through this.
+    """Recursive descent over the tokens of a text: the parsers of both
+    grammars read `kinds[i]` and `texts[i]` directly. Both lists end in two
+    EOF tokens, so that looking one token ahead needs no bounds check.
+
+    No token keeps its position: `fail` finds the offset of token `i` by
+    scanning the text again, on the error path only. A text with a character
+    that is no token fails at the first one before anything is parsed.
 
     `nest` guards the depth of the recursion. Each construct that makes a
     parser recurse opens a level with `nest` and closes it by decrementing
@@ -143,65 +132,66 @@ class Cursor:
     MAX_DEPTH: int
 
     def __init__(self, text: str):
-        self.toks = lex(text, self.LEXICON)
+        self.text = text
+        self.texts = self.LEXICON.scan.findall(text)
+        self.kinds = self.LEXICON.kinds_of(self.texts)
         self.i = 0
         self.depth = 0
+        if "ERROR" in self.kinds:
+            self.i = self.kinds.index("ERROR")
+            bad = self.texts[self.i]
+            self.fail(self.LEXICON.errors.get(bad) or f"a token (found {bad!r})")
+        self.kinds += ("EOF", "EOF")
+        self.texts += ("", "")
 
-    def peek(self, k: int = 0) -> Token:
-        try:
-            return self.toks[self.i + k]
-        except IndexError:
-            return self.toks[-1]
+    def fail(self, what: str, error: type[ParseError] = ParseError) -> NoReturn:
+        """Raise `error` at token `i`, saying that `what` was expected there."""
+        for n, m in enumerate(self.LEXICON.scan.finditer(self.text)):
+            if n == self.i:
+                raise error(m.start(), what)
+        raise error(len(self.text), what)
 
-    def advance(self) -> Token:
-        tok = self.toks[self.i]
+    def expect(self, punct: str, what: str) -> None:
+        if self.texts[self.i] != punct:
+            self.fail(what, UnbalancedDelimiter if punct in (")", "]") else ParseError)
         self.i += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            if kind in ("RPAREN", "RBRACKET"):
-                raise UnbalancedDelimiter(tok.pos, what)
-            raise ParseError(tok.pos, what)
-        return self.advance()
-
-    def nest(self, tok: Token) -> None:
-        """Enter the level of nesting that `tok` opens."""
+    def nest(self) -> None:
+        """Enter the level of nesting that token `i` opens."""
         self.depth += 1
         if self.depth > self.MAX_DEPTH:
-            raise ParseError(tok.pos, f"at most {self.MAX_DEPTH} levels of nesting")
+            self.fail(f"at most {self.MAX_DEPTH} levels of nesting")
 
     def whole(self, rule):
         """The result of `rule`, which must read every token."""
         result = rule()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(tok.pos, "end of input")
+        if self.kinds[self.i] != "EOF":
+            self.fail("end of input")
         return result
 
     def binder_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text in self.KEYWORDS:
-            raise ParseError(tok.pos, "a variable name")
-        return self.advance().text
+        name = self.texts[self.i]
+        if self.kinds[self.i] != "IDENT" or name in self.KEYWORDS:
+            self.fail("a variable name")
+        self.i += 1
+        return name
 
     def integer(self) -> int:
-        tok = self.advance()
-        n = int(tok.text)
+        try:
+            n = int(self.texts[self.i])
+        except ValueError:  # more digits than int() converts
+            n = INT64_MAX + 1
         if not (INT64_MIN <= n <= INT64_MAX):
-            raise ParseError(tok.pos, "an integer in 64-bit range")
+            self.fail("an integer in 64-bit range")
+        self.i += 1
         return n
 
 
 # --- parsing ------------------------------------------------------------------
 
 class _Parser(Cursor):
-    LEXICON = Lexicon({
-        "INT": INT_RULE, "IDENT": IDENT_RULE,
-        "DOT": r"\.", "AND": "&", "OR": r"\|", "NOT": "!", "COMMA": ",",
-        "LPAREN": r"\(", "RPAREN": r"\)", "LBRACKET": r"\[", "RBRACKET": r"\]",
-    }, errors={"-": "an integer literal"})
+    LEXICON = Lexicon((".", "&", "|", "!", ",", "(", ")", "[", "]"),
+                      errors={"-": "an integer literal"})
     KEYWORDS = KEYWORDS
     MAX_DEPTH = MAX_DEPTH
     # The names bound by the binders enclosing the current token.
@@ -209,68 +199,58 @@ class _Parser(Cursor):
 
     def union(self) -> UnaryForm:
         left = self.inter()
-        while self.peek().kind == "OR":
-            self.advance()
+        while self.texts[self.i] == "|":
+            self.i += 1
             left = Union(left, self.inter())
         return left
 
     def inter(self) -> UnaryForm:
         left = self.uatom()
-        while self.peek().kind == "AND":
-            self.advance()
+        while self.texts[self.i] == "&":
+            self.i += 1
             left = Intersect(left, self.uatom())
         return left
 
     def uatom(self) -> UnaryForm:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.nest(tok)
-            self.advance()
+        i = self.i
+        text, after = self.texts[i], self.texts[i + 1]
+        if text == "!":
+            self.nest()
+            self.i = i + 1
             u = Negate(self.uatom())
-        elif self._binary_ahead():
-            self.nest(tok)
+        elif ((after == "." and self.kinds[i] == "IDENT" and text not in KEYWORDS)
+              or (text == "R" and after == "[") or (text == "(" and after == "lam")):
+            self.nest()
             b = self.binary()
-            self.expect("DOT", "'.' after a binary form")
+            self.expect(".", "'.' after a binary form")
             u = Join(b, self.uatom())
         else:
             return self.primary()
         self.depth -= 1
         return u
 
-    def _binary_ahead(self) -> bool:
-        tok = self.peek()
-        nxt = self.peek(1)
-        if tok.kind == "IDENT" and tok.text == "R" and nxt.kind == "LBRACKET":
-            return True
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS and nxt.kind == "DOT":
-            return True
-        if tok.kind == "LPAREN" and nxt.kind == "IDENT" and nxt.text == "lam":
-            return True
-        return False
-
     def binary(self) -> BinaryForm:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "R" and self.peek(1).kind == "LBRACKET":
-            self.nest(tok)
-            self.advance()
-            self.advance()
+        i = self.i
+        text, after = self.texts[i], self.texts[i + 1]
+        if text == "R" and after == "[":
+            self.nest()
+            self.i = i + 2
             inner = self.binary()
-            self.expect("RBRACKET", "']' closing R[")
+            self.expect("]", "']' closing R[")
             self.depth -= 1
             return Reverse(inner)
-        if tok.kind == "LPAREN" and self.peek(1).kind == "IDENT" and self.peek(1).text == "lam":
-            self.nest(tok)
-            self.advance()
-            self.advance()
+        if text == "(" and after == "lam":
+            self.nest()
+            self.i = i + 2
             b = Lambda(*self._binder("lam"))
             self.depth -= 1
             return b
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
-            if tok.text in self.scope:
-                raise VariableInBinaryPosition(tok.text)
-            self.advance()
-            return Property(tok.text)
-        raise ParseError(tok.pos, "a binary form")
+        if self.kinds[i] == "IDENT" and text not in KEYWORDS:
+            if text in self.scope:
+                raise VariableInBinaryPosition(text)
+            self.i = i + 1
+            return Property(text)
+        self.fail("a binary form")
 
     def _binder(self, word: str) -> tuple[str, UnaryForm]:
         """The name and body of a `word` binder, read after its '(' and
@@ -278,54 +258,54 @@ class _Parser(Cursor):
         name = self.binder_name()
         if name in self.scope:
             raise ShadowedVariable(name)
-        self.expect("DOT", f"'.' after {word} binder")
+        self.expect(".", f"'.' after {word} binder")
         outer = self.scope
         self.scope = outer | {name}
         body = self.union()
         self.scope = outer
-        self.expect("RPAREN", f"')' closing {word}")
+        self.expect(")", f"')' closing {word}")
         return name, body
 
     def primary(self) -> UnaryForm:
-        tok = self.peek()
-        if tok.kind == "INT":
+        i = self.i
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "INT":
             return EntityLit(Number(self.integer()))
-        if tok.kind == "IDENT":
-            if tok.text == "count":
-                self.nest(tok)
-                self.advance()
-                self.expect("LPAREN", "'(' after count")
-                inner = self.union()
-                self.expect("RPAREN", "')' closing count")
-                self.depth -= 1
-                return Aggregate("count", inner)
-            if tok.text in ("argmax", "argmin"):
-                self.nest(tok)
-                self.advance()
-                self.expect("LPAREN", f"'(' after {tok.text}")
-                source = self.union()
-                self.expect("COMMA", "',' between superlative arguments")
-                degree = self.binary()
-                self.expect("RPAREN", f"')' closing {tok.text}")
-                self.depth -= 1
-                return Superlative(tok.text, source, degree)
-            if tok.text in KEYWORDS:
-                raise ParseError(tok.pos, f"a unary form (found keyword {tok.text!r})")
-            self.advance()
-            return Var(tok.text) if tok.text in self.scope else EntityLit(Entity(tok.text))
-        if tok.kind == "LPAREN":
-            self.nest(tok)
-            if self.peek(1).kind == "IDENT" and self.peek(1).text == "mu":
-                self.advance()
-                self.advance()
+        if kind == "IDENT" and text not in KEYWORDS:
+            self.i = i + 1
+            return Var(text) if text in self.scope else EntityLit(Entity(text))
+        if text == "count":
+            self.nest()
+            self.i = i + 1
+            self.expect("(", "'(' after count")
+            inner = self.union()
+            self.expect(")", "')' closing count")
+            self.depth -= 1
+            return Aggregate("count", inner)
+        if text in ("argmax", "argmin"):
+            self.nest()
+            self.i = i + 1
+            self.expect("(", f"'(' after {text}")
+            source = self.union()
+            self.expect(",", "',' between superlative arguments")
+            degree = self.binary()
+            self.expect(")", f"')' closing {text}")
+            self.depth -= 1
+            return Superlative(text, source, degree)
+        if kind == "IDENT":
+            self.fail(f"a unary form (found keyword {text!r})")
+        if text == "(":
+            self.nest()
+            if self.texts[i + 1] == "mu":
+                self.i = i + 2
                 u = Mu(*self._binder("mu"))
             else:
-                self.advance()
+                self.i = i + 1
                 u = self.union()
-                self.expect("RPAREN", "')'")
+                self.expect(")", "')'")
             self.depth -= 1
             return u
-        raise ParseError(tok.pos, "a unary form")
+        self.fail("a unary form")
 
 
 def parse_unary(text: str) -> UnaryForm:

@@ -5,7 +5,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from ldcs import LdcsError, load_kb, load_kb_file, parse_lc, parse_unary, resolve
+from ldcs import LdcsError, ParseError, load_kb, load_kb_file, parse_lc, parse_unary, resolve
 
 
 def _soup(tokens):
@@ -17,13 +17,13 @@ def _soup(tokens):
 
 _FORM_TOKENS = [
     "Seattle", "Type", "x", "y", "R", "mu", "lam", "count", "argmax", "argmin",
-    "0", "42", "-7", "99999999999999999999", "a:b",
-    ".", "&", "|", "!", "(", ")", "[", "]", ",", "-", ":", "@",
+    "lambda", "exists", "in", "0", "42", "-7", "99999999999999999999", "a:b",
+    ".", "&", "|", "!", "(", ")", "[", "]", ",", "-", ":", "@", "é", "\t", "\n ",
 ]
 _LC_TOKENS = [
     "lambda", "exists", "count", "argmax", "argmin", "in", "x", "y", "P", "Seattle",
     "3", "-1", "99999999999999999999",
-    ".", "&", "||", "|", "!", "=", "(", ")", "[", "]", ",", "-", "@",
+    ".", "&", "||", "|", "!", "=", "(", ")", "[", "]", ",", "-", "@", "é", "\t", "\n ",
 ]
 _KB_TOKENS = [
     "Alice", "Type", "City", "a.b", "mu", "count", "7", "-3", "9lives",
@@ -64,6 +64,27 @@ def test_form_text_parses_or_raises_ldcs_error(text):
 @given(st.one_of(st.text(max_size=60), _soup(_LC_TOKENS)))
 def test_lambda_term_text_parses_or_raises_ldcs_error(text):
     _term(text)
+
+
+def _points_at_a_token_or_the_end(parse, text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert exc.position == len(text) or not text[exc.position].isspace()
+    except LdcsError:
+        pass
+
+
+@_SETTINGS
+@given(st.one_of(st.text(max_size=60), _soup(_FORM_TOKENS)))
+def test_form_parse_errors_point_at_a_token_or_the_end(text):
+    _points_at_a_token_or_the_end(parse_unary, text)
+
+
+@_SETTINGS
+@given(st.one_of(st.text(max_size=60), _soup(_LC_TOKENS)))
+def test_lambda_term_parse_errors_point_at_a_token_or_the_end(text):
+    _points_at_a_token_or_the_end(parse_lc, text)
 
 
 @_SETTINGS

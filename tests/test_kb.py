@@ -250,11 +250,14 @@ def test_indexes_agree_with_naive_scan():
         ("A\tP\tmu\n", BadObject),
         ("A\targmax\tB\n", MalformedLine),
         ("A\tlam\tB\n", MalformedLine),
+        ("in\tP\tB\n", BadSubject),
+        ("A\tP\texists\n", BadObject),
+        ("A\tlambda\tB\n", MalformedLine),
     ],
 )
 def test_names_no_query_can_write_are_refused(text, error):
-    # '.' is the join operator and keywords parse as syntax, so neither
-    # could name what the line loads.
+    # '.' is the join operator and the keywords of both grammars parse as
+    # syntax, so neither could name what the line loads.
     with pytest.raises(error) as exc:
         load_kb("A\tP\tB\n" + text)
     assert exc.value.line_number == 2

@@ -80,6 +80,66 @@ def test_parse_errors():
     assert exc.value.position == 11
 
 
+# One row per place the lambda-term parser raises a ParseError: text, error
+# class, position and what the message says was expected.
+LC_ERRORS = [
+    ("lambda x y", ParseError, 9, "'.' after binder"),
+    ("lambda 5 . x", ParseError, 7, "a variable name"),
+    ("exists count . x", ParseError, 7, "a variable name"),
+    ("x & lambda x . y", ParseError, 4, "a term (found keyword 'lambda')"),
+    ("x & )", ParseError, 4, "a term"),
+    ("", ParseError, 0, "a term"),
+    ("lambda x . x ||", ParseError, 15, "a term"),
+    ("[x y]", ParseError, 3, "'=' in equality"),
+    ("[x = y", UnbalancedDelimiter, 6, "']' closing equality"),
+    ("(x", UnbalancedDelimiter, 2, "')'"),
+    ("count x", ParseError, 6, "'(' after count"),
+    ("count(lambda x . x", UnbalancedDelimiter, 18, "')' closing count"),
+    ("argmax x", ParseError, 7, "'(' after argmax"),
+    ("argmax(lambda x . x)", ParseError, 19, "',' between superlative arguments"),
+    ("argmin(lambda x . x, lambda x . lambda y . P(x,y)", UnbalancedDelimiter, 49,
+     "')' closing argmin"),
+    ("in x", ParseError, 3, "'(' after in"),
+    ("in(x lambda", ParseError, 5, "',' in membership"),
+    ("in(x, lambda y . y", UnbalancedDelimiter, 18, "')' closing in"),
+    ("P(x y)", ParseError, 4, "',' between predicate arguments"),
+    ("P(x, y", UnbalancedDelimiter, 6, "')' closing predicate"),
+    ("P(lambda, x)", ParseError, 2, "an element (variable, constant, or count)"),
+    ("[( = x]", ParseError, 1, "an element (variable, constant, or count)"),
+    ("!" * (LC_MAX_DEPTH + 1) + "x", ParseError, LC_MAX_DEPTH, "at most 310 levels of nesting"),
+    ("lambda x . " * (LC_MAX_DEPTH + 1) + "x", ParseError, 11 * LC_MAX_DEPTH,
+     "at most 310 levels of nesting"),
+    ("x | y", ParseError, 2, "a token (found '|')"),
+    ("x & -", ParseError, 4, "a token (found '-')"),
+    ("x y @", ParseError, 4, "a token (found '@')"),
+    ("[x = 99999999999999999999]", ParseError, 5, "an integer in 64-bit range"),
+    ("x y", ParseError, 2, "end of input"),
+    ("  x \t ] ", ParseError, 6, "end of input"),
+]
+
+
+@pytest.mark.parametrize("text, error, position, expected", LC_ERRORS)
+def test_each_error_site_reports_its_position(text, error, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_lc(text)
+    assert type(exc.value) is error
+    assert (exc.value.position, exc.value.expected) == (position, expected)
+
+
+@pytest.mark.parametrize("refused, allowed", [
+    ("in.Seattle", "inside.Seattle"),
+    ("exists", "exists_"),
+    ("(mu lambda . Children.lambda)", "(mu lambda1 . Children.lambda1)"),
+])
+def test_forms_read_back_once_the_lambda_term_keywords_are_no_names(refused, allowed):
+    # `in.Seattle` translated to `lambda x . in(x,Seattle)`, a membership
+    # test when read back; `exists` to a term that did not parse at all.
+    with pytest.raises(ParseError):
+        parse_unary(refused)
+    term = simplify(to_lc_unary(parse_unary(allowed)))
+    assert alpha_eq(parse_lc(format_lc(term)), term)
+
+
 def test_binder_scope_is_maximal():
     # the body of a binder extends as far right as possible
     t = parse_lc("lambda x . exists y . P(x,y) & Q(y,x)")

@@ -26,6 +26,7 @@ from ldcs import (
     parse_unary,
     resolve,
 )
+from ldcs.parser import MAX_DEPTH, Lexicon
 
 
 def rparse(text, kb=None, strict=False):
@@ -136,6 +137,76 @@ def test_parse_error_positions_are_in_range():
         with pytest.raises(ParseError) as exc:
             parse_unary(text)
         assert 0 <= exc.value.position <= len(text)
+
+
+# One row per place the form parser raises a ParseError: text, error class,
+# position and what the message says was expected.
+FORM_ERRORS = [
+    ("R[Border] x", ParseError, 10, "'.' after a binary form"),
+    ("R[Border.x", UnbalancedDelimiter, 8, "']' closing R["),
+    ("(mu x y . a)", ParseError, 6, "'.' after mu binder"),
+    ("(lam x y . a).b", ParseError, 7, "'.' after lam binder"),
+    ("(mu x . a", UnbalancedDelimiter, 9, "')' closing mu"),
+    ("(lam x . a.b", UnbalancedDelimiter, 12, "')' closing lam"),
+    ("count x", ParseError, 6, "'(' after count"),
+    ("count(a", UnbalancedDelimiter, 7, "')' closing count"),
+    ("argmax", ParseError, 6, "'(' after argmax"),
+    ("argmax(a)", ParseError, 8, "',' between superlative arguments"),
+    ("argmin(a, Area", UnbalancedDelimiter, 14, "')' closing argmin"),
+    ("(a", UnbalancedDelimiter, 2, "')'"),
+    ("argmax(a, 5)", ParseError, 10, "a binary form"),
+    ("a & mu", ParseError, 4, "a unary form (found keyword 'mu')"),
+    ("", ParseError, 0, "a unary form"),
+    ("a\t\n& )", ParseError, 5, "a unary form"),
+    ("(mu 5 . a)", ParseError, 4, "a variable name"),
+    ("(mu count . a)", ParseError, 4, "a variable name"),
+    ("!" * (MAX_DEPTH + 1) + "a", ParseError, MAX_DEPTH, "at most 100 levels of nesting"),
+    ("(" * (MAX_DEPTH + 1) + "a", ParseError, MAX_DEPTH, "at most 100 levels of nesting"),
+    ("a." * (MAX_DEPTH + 1) + "b", ParseError, 2 * MAX_DEPTH, "at most 100 levels of nesting"),
+    ("a @ b", ParseError, 2, "a token (found '@')"),
+    ("a é", ParseError, 2, "a token (found 'é')"),
+    ("a & ) @", ParseError, 6, "a token (found '@')"),
+    ("a - b", ParseError, 2, "an integer literal"),
+    ("9223372036854775808", ParseError, 0, "an integer in 64-bit range"),
+    ("Area.-9223372036854775809", ParseError, 5, "an integer in 64-bit range"),
+    ("a b", ParseError, 2, "end of input"),
+    ("a)", ParseError, 1, "end of input"),
+    ("  a   b  ", ParseError, 6, "end of input"),
+]
+
+
+@pytest.mark.parametrize("text, error, position, expected", FORM_ERRORS)
+def test_each_error_site_reports_its_position(text, error, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_unary(text)
+    assert type(exc.value) is error
+    assert (exc.value.position, exc.value.expected) == (position, expected)
+
+
+def test_the_scan_tries_longer_punctuation_first():
+    lexicon = Lexicon(("|", "||"))
+    assert lexicon.scan.findall("a||b | c") == ["a", "||", "b", "|", "c"]
+
+
+def test_an_integer_too_long_to_convert_is_out_of_range():
+    with pytest.raises(ParseError) as exc:
+        parse_unary("Area." + "9" * 5000)
+    assert (exc.value.position, exc.value.expected) == (5, "an integer in 64-bit range")
+
+
+@pytest.mark.parametrize("text, position, expected", [
+    ("in.Seattle", 0, "a unary form (found keyword 'in')"),
+    ("exists", 0, "a unary form (found keyword 'exists')"),
+    ("Type.lambda", 5, "a unary form (found keyword 'lambda')"),
+    ("argmax(Type.City, in)", 18, "a binary form"),
+    ("(mu in . Type.City)", 4, "a variable name"),
+    ("(lam exists . Type.City).Seattle", 5, "a variable name"),
+])
+def test_the_lambda_term_keywords_are_no_names(text, position, expected):
+    # Their translation would not read back as the same lambda term.
+    with pytest.raises(ParseError) as exc:
+        parse_unary(text)
+    assert (exc.value.position, exc.value.expected) == (position, expected)
 
 
 def test_unbalanced_delimiters():
