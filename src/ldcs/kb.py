@@ -58,8 +58,8 @@ class KnowledgeBase(Frozen):
     `forward[p][s]` is the set of objects o with (s, p, o) in the KB and
     `backward[p][o]` the set of subjects; every set in them is non-empty.
     Two KBs are equal when all five fields are; the indexes are left out
-    of the repr. A private cache of degree orders (`degree_order`) is
-    filled on first use; it is no part of the KB's value.
+    of the repr. A private memo of facts derived from the KB (`derived`)
+    is filled on first use; it is no part of the KB's value.
     """
 
     def __init__(
@@ -76,7 +76,7 @@ class KnowledgeBase(Frozen):
         set_(self, "backward", backward)
         set_(self, "entity_domain", entity_domain)
         set_(self, "property_set", property_set)
-        set_(self, "_degree_orders", {})
+        set_(self, "_derived", {})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -100,6 +100,17 @@ class KnowledgeBase(Frozen):
     def __len__(self):
         return len(self.triples)
 
+    def derived(self, build, *args):
+        """`build(self, *args)`, built once per KB and arguments, on first
+        use, and kept. The KB is immutable, so what is derived from it
+        stays true; `build` must depend on nothing else."""
+        key = (build, *args)
+        value = self._derived.get(key)
+        if value is None:
+            with _collector_paused():
+                value = self._derived[key] = build(self, *args)
+        return value
+
     def degree_order(self, prop: str, forward: bool, collapse: str):
         """The keys of a property map ranked by degree, as
         (degrees, keys, mixed).
@@ -109,24 +120,18 @@ class KnowledgeBase(Frozen):
         first, and `degrees` their degrees in the same order: a key's degree
         is its largest number and the largest comes first for
         collapse="max", the smallest for "min". `mixed` is the frozenset of
-        the other keys. Built once per map and collapse, on first use, and
-        kept.
+        the other keys. Built once per map and collapse (`derived`).
         """
-        order = self._degree_orders.get((prop, forward, collapse))
-        if order is None:
-            pairs = (self.forward if forward else self.backward).get(prop, _NO_PAIRS)
-            with _collector_paused():
-                order = _rank(pairs, collapse)
-            self._degree_orders[prop, forward, collapse] = order
-        return order
+        return self.derived(_rank, prop, forward, collapse)
 
 
 _kb_fields = attrgetter("triples", "forward", "backward", "entity_domain", "property_set")
 _number = attrgetter("n")
 
 
-def _rank(pairs, collapse: str):
-    """`KnowledgeBase.degree_order` of one property map."""
+def _rank(kb: KnowledgeBase, prop: str, forward: bool, collapse: str):
+    """`KnowledgeBase.degree_order`, built."""
+    pairs = (kb.forward if forward else kb.backward).get(prop, _NO_PAIRS)
     keys = list(pairs)
     values = list(chain.from_iterable(pairs.values()))
     if len(values) == len(keys):

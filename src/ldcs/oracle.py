@@ -2,9 +2,10 @@
 generator and an agreement checker.
 
 `lc_eval` evaluates a translated term by exhaustive enumeration over finite
-domains, with no reference to the direct evaluator or the KB's indexes: a
-predicate is a membership test in `kb.triples`. It compiles the term once
-per call into closures of the environment and runs those.
+domains, with no reference to the direct evaluator: it reads only
+`kb.triples` and `kb.entity_domain`, and a predicate is a membership test in
+`kb.triples`. It compiles the term once per call into closures of the
+environment and runs those.
 `check_equivalence` generates random forms, runs both semantics, and
 reports any disagreement.
 """
@@ -70,7 +71,9 @@ class _OracleEval:
     variable in place, and tries the candidates in `value_sort_key`
     order: an existential stops at its first witness, and the first
     candidate that reaches an error raises it, so neither the work nor the
-    error depends on set order. Enumeration is exponential in nesting
+    error depends on set order. An existential whose leftmost conjunct
+    pins its variable tries only the candidates that satisfy it
+    (`_witnesses`). Enumeration is exponential in nesting
     depth, so existentials, one-argument lambdas and superlative
     applications are memoized per binding of their free variables: the
     free variables of every node are found in one walk of the term, and a
@@ -84,11 +87,14 @@ class _OracleEval:
         self._count_subterms: dict = {}
         self._constants: set = set()
         self._scan(root)
+        facts = kb.derived(_KbFacts.build)
+        constants, domain = self._constants, kb.entity_domain
         self.triples = kb.triples
-        self.base = frozenset(kb.entity_domain).union(self._constants)
-        self.candidates = tuple(sorted(self.base, key=core.value_sort_key))
-        self.rich = self.base.union(*kb.backward.values())
-        self.rich_candidates = _sorted_in(self.candidates, self.rich - self.base)
+        self.related = facts.related
+        self.base = domain.union(constants)
+        self.candidates = _sorted_in(facts.candidates, constants - domain)
+        self.rich = facts.rich.union(constants)
+        self.rich_candidates = _sorted_in(facts.rich_candidates, constants - facts.rich)
         self._memos: dict = {}
         self._count_fns: dict = {}
 
@@ -174,8 +180,9 @@ class _OracleEval:
         return lambda env: left(env) == right(env)
 
     def _exists(self, t: lc.Exists, scope):
-        var, candidates = t.var, self.candidates
+        var = t.var
         body = self.formula(t.body, scope | {var})
+        candidates = self._witnesses(var, t.body, scope)
         key, memo = self._memo(t, scope)
 
         def exists(env):
@@ -184,7 +191,7 @@ class _OracleEval:
             if found is None:
                 found = False
                 env = env.copy()
-                for v in candidates:
+                for v in candidates(env):
                     env[var] = v
                     if body(env):
                         found = True
@@ -193,6 +200,51 @@ class _OracleEval:
             return found
 
         return exists
+
+    def _witnesses(self, var: str, body, scope: frozenset):
+        """env -> the candidates an existential over var tries, in
+        `value_sort_key` order. When the leftmost conjunct of body (through
+        left-nested `&`) is `[var = t]`, `[t = var]`, `p(t, var)` or
+        `p(var, t)`, with t a constant or another variable that scope
+        binds, these are only the candidates that satisfy that conjunct:
+        t's value, or its objects or subjects under p. Every other
+        candidate fails the conjunct, and `&` stops there, before anything
+        that could raise; so the witness, the memos and the errors are
+        those of trying every candidate. The whole body still runs on each
+        one, so a predicate's witness is confirmed in `kb.triples`."""
+        first = body
+        while type(first) is lc.And:
+            first = first.left
+        candidates = self.candidates
+        if type(first) is lc.Eq:
+            ends = first.left, first.right
+        elif type(first) is lc.Pred:
+            ends = first.arg1, first.arg2
+        else:
+            return lambda env: candidates
+        at = tuple(type(e) is lc.Var and e.name == var for e in ends)
+        anchor = ends[at[0]]  # the other end when var is at one of them
+        if at[0] == at[1] or not (
+            type(anchor) is lc.Const or _bound_name(anchor, scope)
+        ):
+            return lambda env: candidates
+        base = self.base
+        if type(first) is lc.Eq:
+            def related(value):
+                return (value,) if value in base else ()
+        else:
+            lists, outside = self.related.get((first.property, at[1]), _NO_RELATED)
+            if outside <= base:
+                def related(value):
+                    return lists.get(value, ())
+            else:
+                def related(value):
+                    return [w for w in lists.get(value, ()) if w in base]
+        if type(anchor) is lc.Const:
+            fixed = related(anchor.value)
+            return lambda env: fixed
+        name = anchor.name
+        return lambda env: related(env[name])
 
     # -- element terms ---------------------------------------------------------
 
@@ -334,6 +386,44 @@ class _OracleEval:
 
 
 _NO_NAMES: frozenset = frozenset()
+_NO_RELATED = ({}, frozenset())
+
+
+class _KbFacts(NamedTuple):
+    """What `lc_eval` reads of a KB whatever the term, built from
+    `kb.triples` and `kb.entity_domain` once per KB (`build`, through
+    `KnowledgeBase.derived`): the entity domain in `value_sort_key` order;
+    `rich`, the entity domain and every object, and the same in that
+    order; and `related[p, forward]`, a pair of a map from each subject
+    of p to its objects (forward) or from each object to its subjects, in
+    that order, and the frozenset of the values in that map's lists that
+    are outside the entity domain."""
+
+    candidates: tuple
+    rich: frozenset
+    rich_candidates: tuple
+    related: dict
+
+    @staticmethod
+    def build(kb: KnowledgeBase) -> "_KbFacts":
+        groups: dict = {}
+        for s, p, o in kb.triples:
+            groups.setdefault((p, True), {}).setdefault(s, []).append(o)
+            groups.setdefault((p, False), {}).setdefault(o, []).append(s)
+        domain = kb.entity_domain
+        related = {}
+        for key, lists in groups.items():
+            related[key] = (
+                {k: tuple(sorted(vs, key=core.value_sort_key)) for k, vs in lists.items()},
+                frozenset(v for vs in lists.values() for v in vs if v not in domain),
+            )
+        rich = domain.union(o for _, _, o in kb.triples)
+        return _KbFacts(
+            candidates=tuple(sorted(domain, key=core.value_sort_key)),
+            rich=rich,
+            rich_candidates=tuple(sorted(rich, key=core.value_sort_key)),
+            related=related,
+        )
 
 
 def _sorted_in(ordered, extra):
@@ -533,7 +623,7 @@ def check_equivalence(
     """
     if trials < 0:
         raise ValueError("--trials must be at least 0")
-    schema = GenSchema.from_kb(kb)
+    schema = kb.derived(GenSchema.from_kb)
     mismatches = []
     for i in range(trials):
         u = gen_term(seed + i, max_depth, schema)

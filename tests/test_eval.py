@@ -547,7 +547,7 @@ def test_superlatives_by_a_property_match_the_set_definitions(case):
     else:
         assert eval_unary(u, kb) == expected
         if expected:  # a member with a numeric degree and none without
-            assert kb._degree_orders
+            assert kb._derived
 
 
 @pytest.mark.parametrize("op", ["argmax", "argmin"])
@@ -559,7 +559,7 @@ def test_a_key_related_to_a_number_and_an_entity_keeps_the_scan_error(op):
     assert eval_unary(Superlative(op, ranked, Property("p")), kb) == {
         r2 if op == "argmax" else r1
     }
-    assert kb._degree_orders
+    assert kb._derived
     # Whichever key of the source the evaluator meets first, r0 is no
     # ranked key, and the scan raises.
     u = Superlative(op, Union(EntityLit(r0), ranked), Property("p"))

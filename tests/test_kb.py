@@ -14,6 +14,7 @@ from ldcs import (
     MalformedLine,
     Number,
     Triple,
+    check_equivalence,
     dump_kb,
     eval_unary,
     from_triples,
@@ -144,20 +145,40 @@ def _superlative(text, kb):
 def test_degree_orders_stay_out_of_the_kb_value(kb):
     fresh = load_kb(dump_kb(kb))
     text, shown = dump_kb(fresh), repr(fresh)
+    assert fresh._derived == {}  # a load derives nothing
     assert _superlative("argmax(Type.USState, Area)", fresh) == {Entity("California")}
     assert _superlative("argmin(Type.USState | Type.City, Area)", fresh) == {
         Entity("Washington")
     }
-    assert fresh._degree_orders  # filled by the two class-wide superlatives
+    assert len(fresh._derived) == 2  # filled by the two class-wide superlatives
+    # The enumeration's per-KB facts and the generator's schema go in the
+    # same memo, and stay out of the KB's value too.
+    assert check_equivalence(fresh, 3, 4).ok
+    assert len(fresh._derived) > 2
     assert fresh == load_kb(text) and load_kb(text) == fresh and fresh == kb
     assert repr(fresh) == shown
     assert dump_kb(fresh) == text
     with pytest.raises(AttributeError):
         fresh.triples = frozenset()
     with pytest.raises(AttributeError):
-        fresh._degree_orders = {}
+        fresh._derived = {}
     with pytest.raises(TypeError):
         hash(fresh)
+
+
+def test_a_derived_fact_is_built_once_per_kb_and_arguments(kb):
+    fresh = load_kb(dump_kb(kb))
+    calls = []
+
+    def build(k, *args):
+        calls.append(args)
+        return len(k) + sum(args)
+
+    assert fresh.derived(build) == fresh.derived(build) == 29
+    assert fresh.derived(build, 1, 2) == fresh.derived(build, 1, 2) == 32
+    assert calls == [(), (1, 2)]
+    assert load_kb(dump_kb(kb)).derived(build) == 29
+    assert calls == [(), (1, 2), ()]
 
 
 def test_degree_order_ranks_the_keys_related_only_to_numbers():
@@ -191,9 +212,9 @@ def test_point_superlative_builds_no_degree_order():
     source = kb.subjects_of("Link", Entity("E5")) | kb.objects_of("Link", Entity("E5"))
     area = {e: next(iter(kb.objects_of("Area", e))).n for e in source}
     assert got == {e for e, n in area.items() if n == max(area.values())}
-    assert kb._degree_orders == {}
+    assert kb._derived == {}
     _superlative("argmax(!E5, Area)", kb)
-    assert list(kb._degree_orders) == [("Area", True, "max")]
+    assert [key[1:] for key in kb._derived] == [("Area", True, "max")]
 
 
 def test_dump_is_sorted_and_loads_back(kb):

@@ -16,6 +16,7 @@ from ldcs import (
     Number,
     UnboundVariable,
     check_equivalence,
+    dump_kb,
     gen_term,
     lc_eval,
     load_kb,
@@ -23,7 +24,7 @@ from ldcs import (
     parse_unary,
     resolve,
 )
-from ldcs import core, lc
+from ldcs import core, lc, oracle
 
 
 def test_lc_eval_simple_sets(kb):
@@ -206,6 +207,138 @@ def test_lc_eval_count_widening_reaches_what_the_formula_does_not(kb):
     unbound = lc.CountApp(lc.Lam("c", lc.Pred("Children", lc.Var("z"), lc.Var("c"))))
     term = lc.Lam("x", lc.And(_PLANET, lc.Eq(lc.Var("x"), unbound)))
     assert lc_eval(term, kb) == frozenset()
+
+
+_SELF = "A\tp\tB\nC\tp\tC\n"  # p relates C, the last in value order, to itself
+
+
+@pytest.mark.parametrize("kb_text, text, expected", [
+    # An inner binder of the outer one's name: [x = x] and p(x,x) name the
+    # inner x twice, so they pin nothing and every candidate is tried. (The
+    # existential has no free variable, so its first answer, under the
+    # least outer x, is kept for all.)
+    (None, "lambda x . exists x . [x = x] & Type(x,City)",
+     {"Alice", "Bob", "California", "Carol", "City", "Dave", "Engineer", "Eve",
+      "Oregon", "Person", "Portland", "Scientist", "Seattle", "USState", "Washington"}),
+    (None, "lambda y . exists x . Children(y,x) & (exists y . Children(y,x))",
+     {"Dave", "Eve"}),
+    (None, "lambda x . exists y . Influenced(y,x) & (exists y . [y = x] & Children(y,Alice))",
+     {"Dave"}),
+    (_SELF, "lambda x . exists x . p(x,x)", {"A", "B", "C"}),
+    (_SELF, "lambda x . exists y . p(y,y) & [x = y]", {"C"}),
+    (_SELF, "lambda x . exists y . p(x,y) & p(y,y)", {"C"}),
+    (None, "lambda x . exists y . [y = y] & Children(x,y)", {"Dave", "Eve"}),
+    # Numbers are candidates only when the term names them.
+    (None, "lambda x . exists y . Area(x,y)", set()),
+    (None, "lambda x . exists y . Area(x,y) & [y = 98]", {"Oregon"}),
+    (None, "lambda x . exists y . [y = 71] & Area(x,y)", {"Washington"}),
+    (None, "lambda x . exists y . Area(y,164) & [x = y]", {"California"}),
+    (None, "lambda x . exists y . Area(71,y)", set()),
+    (None, "lambda x . exists y . [y = count(lambda z . Children(x,z))] & [y = 2]", {"Dave"}),
+    # The leading conjunct, through left-nested &, and only there.
+    (None, "lambda x . exists y . Children(x,y) & Type(y,Person) & PlaceOfBirth(y,Seattle)",
+     {"Dave", "Eve"}),
+    (None, "lambda x . exists y . Children(x,y) & (Type(y,Person) & PlaceOfBirth(y,Portland))",
+     {"Dave"}),
+    (None, "lambda x . exists y . Type(y,Person) & Children(x,y)", {"Dave", "Eve"}),
+    (None, "lambda x . exists y . Children(x,y) || [x = Seattle]", {"Dave", "Eve", "Seattle"}),
+    (None, "lambda x . exists y . !Children(x,y) & [y = Alice]",
+     {"Alice", "Bob", "California", "Carol", "City", "Engineer", "Eve", "Oregon",
+      "Person", "Portland", "Scientist", "Seattle", "USState", "Washington"}),
+    (None, "lambda x . exists y . [Seattle = y] & PlaceOfBirth(x,y)", {"Alice", "Carol"}),
+    (None, "lambda x . exists y . [x = y] & Type(y,City)", {"Portland", "Seattle"}),
+    (None, "lambda x . exists y . Nope(x,y)", set()),
+    (None, "lambda x . exists y . [y = Reykjavik] & [x = y]", {"Reykjavik"}),
+    # A later conjunct that would raise is reached by no witness.
+    (None, "lambda x . exists y . Children(x,y) & (Type(y,Person) || in(y, lambda z . [z = y]))",
+     {"Dave", "Eve"}),
+])
+def test_lc_eval_existential_witnesses(kb, kb_text, text, expected):
+    world = kb if kb_text is None else load_kb(kb_text)
+    assert _names(lc_eval(parse_lc(text), world)) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("lambda s . lambda d . exists y . [y = d] & Area(s,y)", set()),
+    ("lambda s . lambda d . exists y . [y = d] & Area(s,y) & [d = 98]", {("Oregon", 98)}),
+])
+def test_lc_eval_witness_equal_to_a_number_outside_the_domain(kb, text, expected):
+    # d ranges over every object, y over the entities and the term's own
+    # numbers.
+    assert _pairs(lc_eval(parse_lc(text), kb)) == expected
+
+
+_Q, _Y = lc.Var("q"), lc.Var("y")
+_CHILD = lc.Pred("Children", lc.Var("x"), _Y)
+
+
+def _exists_y(body):
+    return lc.Lam("x", lc.Exists("y", body))
+
+
+@pytest.mark.parametrize("term, error, message", [
+    (parse_lc("lambda x . exists y . Children(x,y) & in(y, lambda z . [z = y])"),
+     IllTyped, "not a superlative application: lambda z . [z = y]"),
+    # Dave's first child in value order is Alice, whom Dave influenced.
+    (parse_lc("lambda x . exists y . Children(x,y) & in(y, argmax(lambda z . [z = y], "
+              "lambda s . lambda d . Influenced(s,d)))"),
+     NonNumericDegree, "degree produced a non-numeric value: Dave"),
+    (_exists_y(lc.And(_CHILD, lc.Pred("Type", _Q, lc.Const(Entity("City"))))),
+     UnboundVariable, "unbound variable: q"),
+    # An unbound end pins nothing: the first candidate raises.
+    (_exists_y(lc.Pred("Children", _Q, _Y)), UnboundVariable, "unbound variable: q"),
+    (_exists_y(lc.And(lc.Eq(_Y, _Q), _CHILD)), UnboundVariable, "unbound variable: q"),
+])
+def test_lc_eval_witness_reaches_the_first_error(kb, term, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        lc_eval(term, kb)
+
+
+@pytest.mark.parametrize("text, tried", [
+    ("Children(x,y) & Type(y,Person)", ["Alice", "Bob"]),
+    ("Children(y,x)", []),
+    ("Type(y,City) & Children(x,y)", ["Portland", "Seattle"]),
+    ("[y = x]", ["Dave"]),
+    ("[Seattle = y]", ["Seattle"]),
+    ("[y = 71] & Area(x,y)", [71]),
+    ("Area(x,y)", []),
+])
+def test_an_existential_tries_only_what_its_leading_conjunct_allows(kb, text, tried):
+    body = parse_lc(f"lambda x . exists y . {text}").body.body
+    ev = oracle._OracleEval(_exists_y(body), kb)
+    witnesses = ev._witnesses("y", body, frozenset({"x"}))
+    assert [_plain(v) for v in witnesses({"x": Entity("Dave")})] == tried
+
+
+@pytest.mark.parametrize("text", [
+    "[y = y] & Children(x,y)", "Children(y,y)",
+    "Children(x,y) || Type(y,City)", "!Children(x,y)", "[y = count(lambda z . Children(x,z))]",
+])
+def test_an_existential_not_pinned_tries_every_candidate(kb, text):
+    body = parse_lc(f"lambda x . exists y . {text}").body.body
+    ev = oracle._OracleEval(_exists_y(body), kb)
+    every = ev._witnesses("y", body, frozenset({"x"}))({"x": Entity("Dave")})
+    assert list(every) == sorted(kb.entity_domain, key=core.value_sort_key)
+
+
+def test_per_kb_set_up_is_built_once(kb, monkeypatch):
+    fresh = load_kb(dump_kb(kb))
+    built = []
+    from_kb = GenSchema.from_kb
+
+    def counted(k):
+        built.append(k)
+        return from_kb(k)
+
+    monkeypatch.setattr(GenSchema, "from_kb", staticmethod(counted))
+    for seed in range(3):
+        assert check_equivalence(fresh, 2, 4, seed=seed).ok
+    assert built == [fresh]
+    facts = dict(fresh._derived)
+    assert len(facts) == 2  # the schema and the enumeration's facts
+    lc_eval(parse_lc("lambda x . Type(x,City)"), fresh)
+    assert all(fresh._derived[key] is value for key, value in facts.items())
+    assert len(fresh._derived) == 2
 
 
 def test_gen_term_is_deterministic(kb):
