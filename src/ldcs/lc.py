@@ -13,7 +13,7 @@ possible.
 
 from __future__ import annotations
 
-from .core import Entity, Node, Number, Value, Variable, node, render_value
+from .core import SUPERLATIVE_OPS, Entity, Node, Number, Value, Variable, node, render_value
 from .core import free_vars  # noqa: F401  (one walker for both trees; lc.free_vars)
 from .parser import MAX_DEPTH, Cursor, Lexicon
 
@@ -90,6 +90,10 @@ class SupApp(LCTerm):
     op: str
     set_term: LCTerm
     degree_term: LCTerm
+
+    def __post_init__(self):
+        if self.op not in SUPERLATIVE_OPS:
+            raise ValueError(f"unknown superlative op: {self.op}")
 
 
 @node

@@ -4,8 +4,8 @@ generator and an agreement checker.
 `lc_eval` evaluates a translated term by exhaustive enumeration over finite
 domains, with no reference to the direct evaluator: it reads only
 `kb.triples` and `kb.entity_domain`, and a predicate is a membership test in
-`kb.triples`. It compiles the term once per call into closures of the
-environment and runs those.
+`kb.triples`. It compiles the term once per call, in one walk, into
+closures of the environment and runs those.
 `check_equivalence` generates random forms, runs both semantics, and
 reports any disagreement.
 """
@@ -44,28 +44,26 @@ def lc_eval(term: lc.Lam, kb: KnowledgeBase) -> frozenset:
     """
     if not isinstance(term, lc.Lam):
         raise IllTyped("only lambda terms denote sets")
-    ev = _OracleEval(term, kb)
-    if isinstance(term.body, lc.Lam) and _is_formula(term.body.body):
-        return ev.pair_set(term)
-    return ev.value_set(term, frozenset())({})
+    return _OracleEval(kb).compile(term)({})
 
 
-_FORMULAS = (lc.Pred, lc.Eq, lc.And, lc.Or, lc.Not, lc.Exists, lc.In)
-
-
-def _is_formula(t) -> bool:
-    return isinstance(t, _FORMULAS)
+_FORMULAS = frozenset((lc.Pred, lc.Eq, lc.And, lc.Or, lc.Not, lc.Exists, lc.In))
 
 
 class _OracleEval:
-    """Compiles one term into closures of the environment, a dict from
-    variable names to values: a formula becomes `env -> bool`, an element
-    term `env -> value`, and a one-argument lambda or a superlative
-    application `env -> frozenset`. Each node is compiled knowing the
-    names its enclosing binders bind, so a variable reads the environment
-    directly. An unbound variable or an ill-typed subterm compiles to a
-    closure that raises `UnboundVariable` or `IllTyped` when it is
-    reached, and only then.
+    """Compiles one term, in one walk, into closures of the environment, a
+    dict from variable names to values: a formula becomes `env -> bool`,
+    an element term `env -> value`, and a one-argument lambda or a
+    superlative application `env -> frozenset`.
+    Each node is compiled knowing the names its enclosing binders bind,
+    so a variable reads the environment directly. An unbound variable or
+    an ill-typed subterm compiles to a closure that raises
+    `UnboundVariable` or `IllTyped` when it is reached, and only then.
+    Each compile step also returns the node's free variables and its
+    count subterms, as pairs of free variables and closure, in
+    `core.subterms` order. The domains widened with the term's constants
+    (`base`, `candidates`, `rich`, `rich_candidates`) are set when the
+    walk ends, and read by the closures when they run.
 
     Every loop over candidates copies the environment once and sets its
     variable in place, and tries the candidates in `value_sort_key`
@@ -73,85 +71,82 @@ class _OracleEval:
     candidate that reaches an error raises it, so neither the work nor the
     error depends on set order. An existential whose leftmost conjunct
     pins its variable tries only the candidates that satisfy it
-    (`_witnesses`). Enumeration is exponential in nesting
-    depth, so existentials, one-argument lambdas and superlative
-    applications are memoized per binding of their free variables: the
-    free variables of every node are found in one walk of the term, and a
-    memo key is the values of those the node's scope binds. A memo
+    (`_witnesses`). Existentials, one-argument lambdas and superlative
+    applications are memoized per binding of their free variables: a
+    memo key is the values of those the node's scope binds, and a memo
     belongs to a node (by identity, stable while the term is alive) and
     that set of names.
     """
 
-    def __init__(self, root: lc.LCTerm, kb: KnowledgeBase):
-        self._fv: dict = {}
-        self._count_subterms: dict = {}
+    def __init__(self, kb: KnowledgeBase):
+        self.kb, self.facts = kb, kb.derived(_KbFacts.build)
+        self.triples, self.related = kb.triples, self.facts.related
         self._constants: set = set()
-        self._scan(root)
-        facts = kb.derived(_KbFacts.build)
-        constants, domain = self._constants, kb.entity_domain
-        self.triples = kb.triples
-        self.related = facts.related
+        self._memos: dict = {}
+
+    def compile(self, root: lc.Lam):
+        """env -> the denotation of root. The closures refer to the
+        evaluator and it to none of them, so reference counting frees them."""
+        if type(root.body) is lc.Lam and type(root.body.body) in _FORMULAS:
+            run = self.pair_set(root)
+        else:
+            run = self.value_set(root, _NO_NAMES)[0]
+        facts, constants, domain = self.facts, self._constants, self.kb.entity_domain
         self.base = domain.union(constants)
         self.candidates = _sorted_in(facts.candidates, constants - domain)
         self.rich = facts.rich.union(constants)
         self.rich_candidates = _sorted_in(facts.rich_candidates, constants - facts.rich)
-        self._memos: dict = {}
-        self._count_fns: dict = {}
+        return run
 
-    def _scan(self, t) -> frozenset:
-        """Record the free variables of t and of each node below it, the
-        count subterms of each node that has any, in `core.subterms`
-        order, and the values of the constants; return t's free variables."""
-        kids = t.children()
-        if isinstance(t, core.Variable):
-            names = frozenset((t.name,))
-        elif not kids:
-            names = _NO_NAMES
-            if isinstance(t, lc.Const):
-                self._constants.add(t.value)
+    def _memo(self, t, names: frozenset, scope: frozenset):
+        """The key function and the memo in scope of node t, free in names."""
+        names = tuple(sorted(names & scope))
+        key = itemgetter(*names) if names else (lambda env: ())
+        return key, self._memos.setdefault((id(t), names), {})
+
+    def _ill_typed(self, t, scope: frozenset, message: str, shown=None):
+        """A closure that raises IllTyped(message), followed by the text of
+        shown when given, with the free variables and count subterms of t:
+        t widens domains as if it were well typed, its constants included."""
+        if type(t) in (lc.Var, lc.Const, lc.CountApp):
+            _, names, counts = self.element(t, scope)
         else:
-            names = _NO_NAMES.union(*map(self._scan, kids))
+            inner = scope | {t.var} if t.binds else scope
+            names, counts = _NO_NAMES, ()
+            for kid in t.children():
+                _, kid_names, kid_counts = self._ill_typed(kid, inner, message)
+                names, counts = names | kid_names, kid_counts + counts
             if t.binds:
                 names = names - {t.var}
-            counts = [t] if isinstance(t, lc.CountApp) else []
-            for kid in reversed(kids):
-                if id(kid) in self._count_subterms:
-                    counts += self._count_subterms[id(kid)]
-            if counts:
-                self._count_subterms[id(t)] = counts
-        self._fv[id(t)] = names
-        return names
-
-    def _memo(self, t, scope: frozenset):
-        """The key function and the memo of node t in scope."""
-        names = tuple(sorted(self._fv[id(t)] & scope))
-        key = itemgetter(*names) if names else _no_key
-        return key, self._memos.setdefault((id(t), names), {})
+        return _fails(IllTyped, message, shown), names, counts
 
     # -- formulas ------------------------------------------------------------
 
     def formula(self, t, scope: frozenset):
-        """env -> bool."""
-        if isinstance(t, lc.Pred):
+        """(env -> bool, free variables, count subterms)."""
+        kind = type(t)
+        if kind is lc.Pred:
             return self._pred(t, scope)
-        if isinstance(t, lc.Eq):
+        if kind is lc.Eq:
             return self._eq(t, scope)
-        if isinstance(t, lc.And):
-            left, right = self.formula(t.left, scope), self.formula(t.right, scope)
-            return lambda env: left(env) and right(env)
-        if isinstance(t, lc.Or):
-            left, right = self.formula(t.left, scope), self.formula(t.right, scope)
-            return lambda env: left(env) or right(env)
-        if isinstance(t, lc.Not):
-            inner = self.formula(t.inner, scope)
-            return lambda env: not inner(env)
-        if isinstance(t, lc.Exists):
+        if kind is lc.And or kind is lc.Or:
+            left, left_names, left_counts = self.formula(t.left, scope)
+            right, right_names, right_counts = self.formula(t.right, scope)
+            names, counts = left_names | right_names, right_counts + left_counts
+            if kind is lc.And:
+                return (lambda env: left(env) and right(env)), names, counts
+            return (lambda env: left(env) or right(env)), names, counts
+        if kind is lc.Not:
+            inner, names, counts = self.formula(t.inner, scope)
+            return (lambda env: not inner(env)), names, counts
+        if kind is lc.Exists:
             return self._exists(t, scope)
-        if isinstance(t, lc.In):
-            element = self.element(t.element, scope)
-            winners = self.sup_set(t.set_expr, scope)
-            return lambda env: element(env) in winners(env)
-        return _fails(IllTyped, "not a formula: ", t)
+        if kind is lc.In:
+            element, element_names, element_counts = self.element(t.element, scope)
+            winners, set_names, set_counts = self.sup_set(t.set_expr, scope)
+            names, counts = element_names | set_names, set_counts + element_counts
+            return (lambda env: element(env) in winners(env)), names, counts
+        return self._ill_typed(t, scope, "not a formula: ", t)
 
     def _pred(self, t: lc.Pred, scope):
         # A triple's subject is always an entity (`kb.Triple`), so a number
@@ -159,31 +154,38 @@ class _OracleEval:
         prop, triples = t.property, self.triples
         s, o = _bound_name(t.arg1, scope), _bound_name(t.arg2, scope)
         if s and o:
-            return lambda env: (env[s], prop, env[o]) in triples
-        if s and isinstance(t.arg2, lc.Const):
-            obj = t.arg2.value
-            return lambda env: (env[s], prop, obj) in triples
-        if o and isinstance(t.arg1, lc.Const):
-            subj = t.arg1.value
-            return lambda env: (subj, prop, env[o]) in triples
-        subject, obj = self.element(t.arg1, scope), self.element(t.arg2, scope)
-        return lambda env: (subject(env), prop, obj(env)) in triples
+            return (lambda env: (env[s], prop, env[o]) in triples), frozenset((s, o)), ()
+        if s and type(t.arg2) is lc.Const:
+            value = t.arg2.value
+            self._constants.add(value)
+            return (lambda env: (env[s], prop, value) in triples), frozenset((s,)), ()
+        subject, subject_names, subject_counts = self.element(t.arg1, scope)
+        obj, obj_names, obj_counts = self.element(t.arg2, scope)
+        names, counts = subject_names | obj_names, obj_counts + subject_counts
+        if o and type(t.arg1) is lc.Const:
+            value = t.arg1.value
+            return (lambda env: (value, prop, env[o]) in triples), names, counts
+        return (lambda env: (subject(env), prop, obj(env)) in triples), names, counts
 
     def _eq(self, t: lc.Eq, scope):
         a, b = _bound_name(t.left, scope), _bound_name(t.right, scope)
         if a and b:
-            return lambda env: env[a] == env[b]
-        if a and isinstance(t.right, lc.Const):
+            return (lambda env: env[a] == env[b]), frozenset((a, b)), ()
+        if a and type(t.right) is lc.Const:
             value = t.right.value
-            return lambda env: env[a] == value
-        left, right = self.element(t.left, scope), self.element(t.right, scope)
-        return lambda env: left(env) == right(env)
+            self._constants.add(value)
+            return (lambda env: env[a] == value), frozenset((a,)), ()
+        left, left_names, left_counts = self.element(t.left, scope)
+        right, right_names, right_counts = self.element(t.right, scope)
+        names, counts = left_names | right_names, right_counts + left_counts
+        return (lambda env: left(env) == right(env)), names, counts
 
     def _exists(self, t: lc.Exists, scope):
         var = t.var
-        body = self.formula(t.body, scope | {var})
+        body, names, counts = self.formula(t.body, scope | {var})
+        names = names - {var}
         candidates = self._witnesses(var, t.body, scope)
-        key, memo = self._memo(t, scope)
+        key, memo = self._memo(t, names, scope)
 
         def exists(env):
             k = key(env)
@@ -199,7 +201,7 @@ class _OracleEval:
                 memo[k] = found
             return found
 
-        return exists
+        return exists, names, counts
 
     def _witnesses(self, var: str, body, scope: frozenset):
         """env -> the candidates an existential over var tries, in
@@ -215,63 +217,63 @@ class _OracleEval:
         first = body
         while type(first) is lc.And:
             first = first.left
-        candidates = self.candidates
-        if type(first) is lc.Eq:
-            ends = first.left, first.right
-        elif type(first) is lc.Pred:
-            ends = first.arg1, first.arg2
-        else:
-            return lambda env: candidates
+        if type(first) is not lc.Eq and type(first) is not lc.Pred:
+            return lambda env: self.candidates
+        ends = first.children()
         at = tuple(type(e) is lc.Var and e.name == var for e in ends)
         anchor = ends[at[0]]  # the other end when var is at one of them
         if at[0] == at[1] or not (
             type(anchor) is lc.Const or _bound_name(anchor, scope)
         ):
-            return lambda env: candidates
-        base = self.base
+            return lambda env: self.candidates
         if type(first) is lc.Eq:
             def related(value):
-                return (value,) if value in base else ()
+                return (value,) if value in self.base else ()
         else:
             lists, outside = self.related.get((first.property, at[1]), _NO_RELATED)
-            if outside <= base:
-                def related(value):
-                    return lists.get(value, ())
-            else:
-                def related(value):
-                    return [w for w in lists.get(value, ()) if w in base]
+
+            def related(value):
+                found = lists.get(value, ())
+                return [w for w in found if w in self.base] if outside else found
         if type(anchor) is lc.Const:
-            fixed = related(anchor.value)
-            return lambda env: fixed
+            value = anchor.value
+            return lambda env: related(value)
         name = anchor.name
         return lambda env: related(env[name])
 
     # -- element terms ---------------------------------------------------------
 
     def element(self, t, scope: frozenset):
-        """env -> value."""
-        if isinstance(t, lc.Var):
-            if t.name in scope:
-                return itemgetter(t.name)
-            return _fails(UnboundVariable, t.name)
-        if isinstance(t, lc.Const):
+        """(env -> value, free variables, count subterms)."""
+        kind = type(t)
+        if kind is lc.Var:
+            name = t.name
+            fn = itemgetter(name) if name in scope else _fails(UnboundVariable, name)
+            return fn, frozenset((name,)), ()
+        if kind is lc.Const:
             value = t.value
-            return lambda env: value
-        if isinstance(t, lc.CountApp):
-            members = self.value_set(t.set_term, scope)
-            return lambda env: core.Number(len(members(env)))
-        return _fails(IllTyped, "not an element term: ", t)
+            self._constants.add(value)
+            return (lambda env: value), _NO_NAMES, ()
+        if kind is lc.CountApp:
+            members, names, counts = self.value_set(t.set_term, scope)
+
+            def count(env):
+                return core.Number(len(members(env)))
+
+            return count, names, ((names, count),) + counts
+        return self._ill_typed(t, scope, "not an element term: ", t)
 
     # -- sets ------------------------------------------------------------------
 
     def value_set(self, term, scope: frozenset):
-        """env -> the denotation of a one-argument lambda term."""
-        if not (isinstance(term, lc.Lam) and _is_formula(term.body)):
-            return _fails(IllTyped, "expected a one-argument lambda term")
+        """(env -> a one-argument lambda term's set, free variables, count subterms)."""
+        if not (type(term) is lc.Lam and type(term.body) in _FORMULAS):
+            return self._ill_typed(term, scope, "expected a one-argument lambda term")
         var = term.var
-        body = self.formula(term.body, scope | {var})
-        domain = self._domain(self.candidates, self.base, term.body)
-        key, memo = self._memo(term, scope)
+        body, names, counts = self.formula(term.body, scope | {var})
+        names = names - {var}
+        domain = self._domain(counts, rich=False)
+        key, memo = self._memo(term, names, scope)
 
         def value_set(env):
             k = key(env)
@@ -286,48 +288,56 @@ class _OracleEval:
                 members = memo[k] = frozenset(members)
             return members
 
-        return value_set
+        return value_set, names, counts
 
-    def pair_set(self, term: lc.Lam) -> frozenset:
-        """Denotation of a two-argument lambda term, both nesting orders."""
+    def pair_set(self, term: lc.Lam):
+        """env -> the denotation of a two-argument lambda term, both nesting orders."""
         xv, yv, body_t = term.var, term.body.var, term.body.body
-        body = self.formula(body_t, frozenset((xv, yv)))
-        domain = self._domain(self.rich_candidates, self.rich, body_t)
-        found = set()
-        for x in domain({}):
-            env = {xv: x}
-            # The domain is computed before the loop sets yv.
-            for y in domain(env):
-                env[yv] = y
-                if body(env):
-                    found.add((x, y))
-        for y in domain({}):
-            env = {yv: y}
+        body, _, counts = self.formula(body_t, frozenset((xv, yv)))
+        domain = self._domain(counts, rich=True)
+
+        def pair_set(env):
+            found = set()
             for x in domain(env):
-                # Both set, in this order, so that y wins when xv == yv.
-                env[xv] = x
-                env[yv] = y
-                if body(env):
-                    found.add((x, y))
-        return frozenset(found)
+                inner = {**env, xv: x}
+                # The domain is computed before the loop sets yv.
+                for y in domain(inner):
+                    inner[yv] = y
+                    if body(inner):
+                        found.add((x, y))
+            for y in domain(env):
+                inner = {**env, yv: y}
+                for x in domain(inner):
+                    # Both set, in this order, so that y wins when xv == yv.
+                    inner[xv] = x
+                    inner[yv] = y
+                    if body(inner):
+                        found.add((x, y))
+            return frozenset(found)
+
+        return pair_set
 
     def sup_set(self, t, scope: frozenset):
-        """env -> the winners of a superlative application."""
-        if not isinstance(t, lc.SupApp):
-            return _fails(IllTyped, "not a superlative application: ", t)
-        members_of = self.value_set(t.set_term, scope)
+        """(env -> a superlative application's winners, free variables, count subterms)."""
+        if type(t) is not lc.SupApp:
+            return self._ill_typed(t, scope, "not a superlative application: ", t)
+        members_of, names, counts = self.value_set(t.set_term, scope)
         deg = t.degree_term
-        if not (isinstance(deg, lc.Lam) and isinstance(deg.body, lc.Lam)):
-            def ill_typed(env):
-                members_of(env)
-                raise IllTyped("degree of a superlative must take two arguments")
+        if not (type(deg) is lc.Lam and type(deg.body) is lc.Lam):
+            fail, deg_names, deg_counts = self._ill_typed(
+                deg, scope, "degree of a superlative must take two arguments")
 
-            return ill_typed
+            def ill_typed(env):
+                members_of(env)  # the set's errors come first
+                fail(env)
+
+            return ill_typed, names | deg_names, deg_counts + counts
         sv, dv, body_t = deg.var, deg.body.var, deg.body.body
-        body = self.formula(body_t, scope | {sv, dv})
-        domain = self._domain(self.rich_candidates, self.rich, body_t)
+        body, body_names, body_counts = self.formula(body_t, scope | {sv, dv})
+        names = names | (body_names - {sv, dv})
+        domain = self._domain(body_counts, rich=True)
         best_of = max if t.op == "argmax" else min
-        key, memo = self._memo(t, scope)
+        key, memo = self._memo(t, names, scope)
 
         def sup_set(env):
             k = key(env)
@@ -345,9 +355,9 @@ class _OracleEval:
                     inner[dv] = v
                     if body(inner):
                         cands.append(v)
-                ns = [v.n for v in cands if isinstance(v, core.Number)]
+                ns = [v.n for v in cands if type(v) is core.Number]
                 if len(ns) < len(cands):
-                    bad.extend(v for v in cands if not isinstance(v, core.Number))
+                    bad.extend(v for v in cands if type(v) is not core.Number)
                 elif ns:
                     scored.append((m, best_of(ns)))
             # Raised once every member is scored, naming the least
@@ -358,31 +368,24 @@ class _OracleEval:
             winners = memo[k] = frozenset(m for m, d in scored if d == best)
             return winners
 
-        return sup_set
+        return sup_set, names, body_counts + counts
 
-    def _domain(self, candidates: tuple, values: frozenset, body):
-        """env -> the domain of a variable bound over body: `candidates`,
-        the `values` in `value_sort_key` order, widened with the values of
-        the count subterms of body whose free variables env binds."""
-        subs = self._count_subterms.get(id(body))
-        if subs is None:
-            return lambda env: candidates
-        subs = [(self._fv[id(s)], self._count(s)) for s in subs]
+    def _domain(self, counts: tuple, rich: bool):
+        """env -> the domain of a variable bound over a body with these
+        count subterms: the candidates (`rich_candidates` if rich) and the
+        values of the counts whose free variables env binds. Every name env
+        binds is in the scope its count was compiled in."""
+        if not counts:
+            return (lambda env: self.rich_candidates) if rich else (lambda env: self.candidates)
 
         def domain(env):
             bound = env.keys()
-            counts = {count(env) for names, count in subs if names <= bound}
-            return _sorted_in(candidates, counts - values)
+            found = {count(env) for names, count in counts if names <= bound}
+            if rich:
+                return _sorted_in(self.rich_candidates, found - self.rich)
+            return _sorted_in(self.candidates, found - self.base)
 
         return domain
-
-    def _count(self, t: lc.CountApp):
-        """The closure of a count subterm as `_domain` runs it: only
-        where all its free variables are bound, so they are its scope."""
-        fn = self._count_fns.get(id(t))
-        if fn is None:
-            fn = self._count_fns[id(t)] = self.element(t, self._fv[id(t)])
-        return fn
 
 
 _NO_NAMES: frozenset = frozenset()
@@ -437,13 +440,9 @@ def _sorted_in(ordered, extra):
     return out
 
 
-def _no_key(env) -> tuple:
-    return ()
-
-
 def _bound_name(t, scope):
     """t's name if t is a variable that scope binds, else None."""
-    return t.name if isinstance(t, lc.Var) and t.name in scope else None
+    return t.name if type(t) is lc.Var and t.name in scope else None
 
 
 def _fails(error, message: str, t=None):

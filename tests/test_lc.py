@@ -163,6 +163,17 @@ def test_well_formed_rejects_bad_shapes():
     )
 
 
+def test_superlative_op_checked():
+    # An unknown op was evaluated as argmin and printed as text that does
+    # not parse.
+    members = parse_lc("lambda y . Type(y,USState)")
+    degree = parse_lc("lambda s . lambda d . Area(s,d)")
+    with pytest.raises(ValueError, match="^unknown superlative op: argfoo$"):
+        SupApp("argfoo", members, degree)
+    for op in ("argmax", "argmin"):
+        assert SupApp(op, members, degree).op == op
+
+
 def test_alpha_eq_binders():
     a = parse_lc("lambda x . exists y . P(x,y)")
     b = parse_lc("lambda u . exists v . P(u,v)")

@@ -1,5 +1,6 @@
 """Brute-force enumeration semantics and the random form generator."""
 
+import gc
 import os
 import pathlib
 import re
@@ -47,6 +48,11 @@ def test_lc_eval_negation_stays_in_domain(kb):
 def test_lc_eval_constants_extend_the_domain(kb):
     got = lc_eval(parse_lc("lambda x . [x = Reykjavik]"), kb)
     assert got == {Entity("Reykjavik")}
+    # Wherever they stand: in a predicate, or in an ill-typed subterm that
+    # is never reached.
+    for text in ("lambda x . !Area(x,99)",
+                 "lambda x . !Type(x,Planet) || in(x, lambda y . [y = 99])"):
+        assert Number(99) in lc_eval(parse_lc(text), kb)
 
 
 def test_lc_eval_count(kb):
@@ -134,6 +140,11 @@ def test_lc_eval_memo_follows_the_outer_binding(kb):
     got = lc_eval(parse_lc(
         "lambda x . lambda y . exists z . Children(x,z) & Influenced(z,y)"), kb)
     assert _pairs(got) == {("Dave", "Dave"), ("Dave", "Eve")}
+    # A superlative whose degree alone reads x.
+    got = lc_eval(parse_lc(
+        "lambda x . in(x, argmax(lambda y . Type(y,Person), "
+        "lambda s . lambda d . [d = count(lambda c . Children(s,c) & [c = x])]))"), kb)
+    assert _names(got) == {"Dave", "Eve"}
 
 
 def test_lc_eval_count_pairs_in_both_orders(kb):
@@ -197,13 +208,42 @@ def test_lc_eval_errors_only_where_reached(kb, bad, error, message):
         lc_eval(lc.Lam("x", lc.And(_CITY, bad)), kb)
 
 
+_COUNT_SEATTLE = lc.Eq(lc.Var("x"), parse_lc("count(Seattle)"))
+_ILL_TYPED_COUNT = lc.CountApp(
+    lc.Lam("y", lc.Eq(lc.Var("y"), parse_lc("lambda q . Type(q,City)"))))
+_COUNT_ILL_TYPED = lc.Eq(lc.Var("x"), _ILL_TYPED_COUNT)
+
+
 def test_lc_eval_count_widening_reaches_what_the_formula_does_not(kb):
     # The domain is widened with every count subterm whose free variables
     # are bound, before any candidate is tried: an ill-typed one raises
     # even behind a false conjunct, and one with an unbound variable is
     # left out.
-    with pytest.raises(IllTyped, match="expected a one-argument lambda term"):
-        lc_eval(parse_lc("lambda x . Type(x,Planet) & [x = count(Seattle)]"), kb)
+    for formula, message in [
+        (_COUNT_SEATTLE, "expected a one-argument lambda term"),
+        # Counts run in `core.subterms` order, the later one in the text first.
+        (lc.And(_COUNT_SEATTLE, _COUNT_ILL_TYPED),
+         "not an element term: lambda q . Type(q,City)"),
+        (lc.And(_COUNT_ILL_TYPED, _COUNT_SEATTLE), "expected a one-argument lambda term"),
+        # A count inside an ill-typed subterm widens the domain too.
+        (parse_lc("lambda x . in(x, lambda y . [y = count(Seattle)])").body,
+         "expected a one-argument lambda term"),
+        (lc.Not(_COUNT_SEATTLE), "expected a one-argument lambda term"),
+        # A count comes before those inside it.
+        (lc.Eq(lc.Var("x"), lc.CountApp(
+            lc.Lam("y", lc.Lam("z", lc.Eq(lc.Var("z"), _ILL_TYPED_COUNT))))),
+         "expected a one-argument lambda term"),
+        # A superlative's degree comes before its set, and a membership's
+        # set before its element.
+        (lc.In(lc.Var("x"), lc.SupApp(
+            "argmax", parse_lc("lambda y . [y = count(Seattle)]"),
+            lc.Lam("s", lc.Lam("d", lc.Eq(lc.Var("d"), _ILL_TYPED_COUNT))))),
+         "not an element term: lambda q . Type(q,City)"),
+        (lc.In(parse_lc("count(Seattle)"), lc.Lam("y", lc.Eq(lc.Var("y"), _ILL_TYPED_COUNT))),
+         "not an element term: lambda q . Type(q,City)"),
+    ]:
+        with pytest.raises(IllTyped, match=f"^{re.escape(message)}$"):
+            lc_eval(lc.Lam("x", lc.And(_PLANET, formula)), kb)
     unbound = lc.CountApp(lc.Lam("c", lc.Pred("Children", lc.Var("z"), lc.Var("c"))))
     term = lc.Lam("x", lc.And(_PLANET, lc.Eq(lc.Var("x"), unbound)))
     assert lc_eval(term, kb) == frozenset()
@@ -305,7 +345,8 @@ def test_lc_eval_witness_reaches_the_first_error(kb, term, error, message):
 ])
 def test_an_existential_tries_only_what_its_leading_conjunct_allows(kb, text, tried):
     body = parse_lc(f"lambda x . exists y . {text}").body.body
-    ev = oracle._OracleEval(_exists_y(body), kb)
+    ev = oracle._OracleEval(kb)
+    ev.compile(_exists_y(body))
     witnesses = ev._witnesses("y", body, frozenset({"x"}))
     assert [_plain(v) for v in witnesses({"x": Entity("Dave")})] == tried
 
@@ -316,9 +357,26 @@ def test_an_existential_tries_only_what_its_leading_conjunct_allows(kb, text, tr
 ])
 def test_an_existential_not_pinned_tries_every_candidate(kb, text):
     body = parse_lc(f"lambda x . exists y . {text}").body.body
-    ev = oracle._OracleEval(_exists_y(body), kb)
+    ev = oracle._OracleEval(kb)
+    ev.compile(_exists_y(body))
     every = ev._witnesses("y", body, frozenset({"x"}))({"x": Entity("Dave")})
     assert list(every) == sorted(kb.entity_domain, key=core.value_sort_key)
+
+
+def test_lc_eval_leaves_no_reference_cycle(kb):
+    # The closures refer to the evaluator, never the other way round, so
+    # reference counting frees a call's closures and memos: left to the
+    # cyclic collector, they made `check` about a tenth slower.
+    term = parse_lc(
+        "lambda x . (exists y . Children(x,y) & [y = count(lambda z . Children(y,z))]) "
+        "|| in(x, argmax(lambda y . Type(y,USState), lambda s . lambda d . Area(s,d)))")
+    gc.disable()
+    try:
+        gc.collect()
+        lc_eval(term, kb)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_per_kb_set_up_is_built_once(kb, monkeypatch):
