@@ -9,27 +9,34 @@ source large next to that property's map searches the KB's cached degree
 order of the map (`KnowledgeBase.degree_order`) instead of scoring every
 member.
 
-Binders are where variables come back. They are bound in a plain dict
-from names to values: a binder evaluates its body under `{**env, var: x}`
-and never changes the mapping it was given. Every binary is read through
-one join (`_join`), in either direction. The set definitions would
-rebuild the body's whole set once per entity of the domain. Where the body
-is simple enough (see `_decidable`), `mu` and the `lam` joins instead ask
-whether each candidate is a member (`_contains`), which probes the indexes
-from that candidate and never builds a complement. Where they do build the
-body's set per binding, and where a superlative reads each member's degree
-through a binder, a body that raises for several bindings raises the error
-of the least of them by `value_sort_key` (see `_each`).
+Each call compiles the form once, in one walk (`_unary`), into closures
+of the environment, a mapping from names to values that is never changed,
+and runs them. Binders are where variables come back. The set definitions
+evaluate a binder's body once per entity of the domain, and with it every
+subterm of the body, whether or not it mentions the binder's variable.
+Instead, the largest subterms under a binder that do not mention its
+variable are memoised, for the length of the call, by the values of their
+own free variables, so a closed one runs once; a superlative whose degree
+is not a property memoises each member's related set the same way. Nodes
+outside every binder get no memo. Where a binder's body is simple enough
+(see `_decidable`), `mu` and the `lam` joins instead ask whether each
+candidate is a member (`_contains`), which probes the indexes from that
+candidate and never builds a complement; each candidate is bound in a new
+mapping. Where they do build the body's set, a binder copies the
+environment once each time it runs and sets its variable in place for
+each binding; there, and where a superlative reads each member's degree
+through a binder, a body that raises for several bindings raises the
+error of the least of them by `value_sort_key` (see `_each`).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from types import MappingProxyType
 
 from .core import (
     Aggregate,
     EntityLit,
-    Entity,
     Intersect,
     Join,
     Lambda,
@@ -41,6 +48,7 @@ from .core import (
     Superlative,
     Union,
     Var,
+    free_vars,
     value_sort_key,
 )
 from .errors import EvalError, NonNumericDegree, UnboundVariable
@@ -49,53 +57,290 @@ from .kb import KnowledgeBase
 __all__ = ["eval_unary", "eval_binary", "degree_of"]
 
 _EMPTY: frozenset = frozenset()
+_NO_NAMES: frozenset = frozenset()
 _NO_BINDINGS = MappingProxyType({})
 
 
 def eval_unary(u, kb: KnowledgeBase, env=_NO_BINDINGS) -> frozenset:
     """The set of values denoted by u, with its free variables bound by the
     mapping `env` from names to values (which is never changed)."""
-    if isinstance(u, EntityLit):
-        return frozenset({u.value})
-    if isinstance(u, Var):
-        try:
-            return frozenset({env[u.name]})
-        except KeyError:
-            raise UnboundVariable(u.name) from None
-    if isinstance(u, Join):
-        return _join(u.binary, eval_unary(u.unary, kb, env), kb, env, False)
-    if isinstance(u, Intersect):
-        # A & !B is (A & domain) - B: the complement of B is never built.
-        if isinstance(u.right, Negate):
-            kept = eval_unary(u.left, kb, env) & kb.entity_domain
-            return kept - eval_unary(u.right.inner, kb, env)
-        if isinstance(u.left, Negate):
-            dropped = eval_unary(u.left.inner, kb, env)
-            return (eval_unary(u.right, kb, env) & kb.entity_domain) - dropped
-        return eval_unary(u.left, kb, env) & eval_unary(u.right, kb, env)
-    if isinstance(u, Union):
-        return eval_unary(u.left, kb, env) | eval_unary(u.right, kb, env)
-    if isinstance(u, Negate):
-        return kb.entity_domain - eval_unary(u.inner, kb, env)
-    if isinstance(u, Aggregate):
-        return frozenset({Number(len(eval_unary(u.inner, kb, env)))})
-    if isinstance(u, Superlative):
-        return _superlative(u, kb, env)
-    if isinstance(u, Mu):
-        if _decidable(u.body, {*env, u.var}):
-            return frozenset(
-                x for x in kb.entity_domain
-                if _contains(x, u.body, kb, {**env, u.var: x})
-            )
-        return frozenset(x for x, xs in _each(_body(u, kb, env), kb.entity_domain) if x in xs)
+    return _unary(u, kb, frozenset(env) if env else _NO_NAMES, _NO_NAMES)[0](env)
+
+
+def eval_binary(b, kb: KnowledgeBase, env=_NO_BINDINGS) -> frozenset:
+    """The set of (subject, object) pairs denoted by b under `env`."""
+    forward = True
+    while type(b) is Reverse:
+        b, forward = b.inner, not forward
+    if type(b) is Property:
+        pairs = _map(kb, b.name, forward)
+        return frozenset((x, y) for x, ys in pairs.items() for y in ys)
+    if type(b) is not Lambda:
+        raise TypeError(f"not a resolved binary form: {b!r}")
+    body = _body(b, kb, frozenset(env), _NO_NAMES)[0]
+    each = _each(_bind(body, b.var, env), kb.entity_domain)
+    if forward:
+        return frozenset((x, y) for y, xs in each for x in xs)
+    return frozenset((y, x) for y, xs in each for x in xs)
+
+
+def degree_of(x, b, kb: KnowledgeBase, env=_NO_BINDINGS, collapse: str = "max"):
+    """The number b relates x to, or None if there is none.
+
+    An element related to several numbers collapses to the largest (or the
+    smallest, with collapse="min"). Any non-numeric related value raises
+    NonNumericDegree, naming the least such value by `value_sort_key`.
+    """
+    join = _binary(b, kb, frozenset(env), _NO_NAMES, True)[0]
+    bad = []
+    d = _degree(join(env, frozenset((x,))), collapse, bad)
+    if bad:
+        raise NonNumericDegree(min(bad, key=value_sort_key))
+    return d
+
+
+# --- the compile walk ---------------------------------------------------------
+#
+# A unary form compiles to `env -> frozenset`, and a binary form, read in
+# one direction, to `(env, xs) -> frozenset`, the values it relates to those
+# of xs. Each step also returns the node's free variables, which only the
+# memos under a binder read (outside every binder it returns none). Each
+# node is compiled knowing `scope`, the names env binds when the closure
+# runs, and `binders`, those of them that the binders it is under bind. An
+# unbound variable compiles to a closure that raises `UnboundVariable` when
+# it is reached, and only then. A left-nested `&` or `|` chain takes one
+# frame per operand, both in the walk and when its closures run.
+
+
+def _unary(u, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
+    """(env -> the set u denotes, u's free variables)."""
+    kind = type(u)
+    if kind is Join:
+        pairs = _pairs(u.binary, kb, False)
+        if pairs is None:
+            inner, inner_free = _unary(u.unary, kb, scope, binders)
+            join, join_free = _binary(u.binary, kb, scope, binders, False)
+            free = _NO_NAMES
+            if binders:
+                free = inner_free | join_free
+                inner = _memo(inner, inner_free, free, scope, binders)
+            return (lambda env: join(env, inner(env))), free
+        if type(u.unary) is EntityLit:
+            joined = pairs.get(u.unary.value, _EMPTY)
+            return (lambda env: joined), _NO_NAMES
+        inner, free = _unary(u.unary, kb, scope, binders)
+        return (lambda env: _image(pairs, inner(env))), free
+    if kind is EntityLit:
+        value = frozenset((u.value,))
+        return (lambda env: value), _NO_NAMES
+    if kind is Union or kind is Intersect:
+        a, b, negated = u.left, u.right, None
+        if kind is Intersect:
+            # A & !B is (A & domain) - B: the complement of B is never built.
+            if type(b) is Negate:
+                b, negated = b.inner, "right"
+            elif type(a) is Negate:
+                a, negated = a.inner, "left"
+        left, left_free = _unary(a, kb, scope, binders)
+        right, right_free = _unary(b, kb, scope, binders)
+        free = _NO_NAMES
+        if binders:  # outside every binder, free variables are never read
+            free = left_free | right_free
+            left = _memo(left, left_free, free, scope, binders)
+            right = _memo(right, right_free, free, scope, binders)
+        if kind is Union:
+            return (lambda env: left(env) | right(env)), free
+        if negated is None:
+            return (lambda env: left(env) & right(env)), free
+        domain = kb.entity_domain
+        if negated == "right":
+            return (lambda env: (left(env) & domain) - right(env)), free
+
+        def kept_minus_dropped(env):
+            dropped = left(env)
+            return (right(env) & domain) - dropped
+
+        return kept_minus_dropped, free
+    if kind is Var:
+        name = u.name
+        if name not in scope:
+            def unbound(env):
+                raise UnboundVariable(name)
+
+            return unbound, frozenset((name,))
+        return (lambda env: frozenset((env[name],))), frozenset((name,))
+    if kind is Negate:
+        inner, free = _unary(u.inner, kb, scope, binders)
+        domain = kb.entity_domain
+        return (lambda env: domain - inner(env)), free
+    if kind is Aggregate:
+        inner, free = _unary(u.inner, kb, scope, binders)
+        return (lambda env: frozenset((Number(len(inner(env))),))), free
+    if kind is Superlative:
+        return _superlative(u, kb, scope, binders)
+    if kind is Mu:
+        return _mu(u, kb, scope, binders)
     raise TypeError(f"not a resolved unary form: {u!r}")
 
 
-def _body(binder, kb: KnowledgeBase, env):
-    """The function from a value y to the set the body of a mu or lam
-    denotes when its variable is bound to y."""
-    body, var = binder.body, binder.var
-    return lambda y: eval_unary(body, kb, {**env, var: y})
+def _body(binder, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
+    """(env -> the set the body of a mu or lam denotes, with its variable
+    bound in env; the binder's free variables). A body that does not
+    mention the variable is memoised."""
+    var = frozenset((binder.var,))
+    scope, binders = scope | var, binders | var
+    body, free = _unary(binder.body, kb, scope, binders)
+    return _memo(body, free, var, scope, binders), free - var
+
+
+def _mu(u: Mu, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
+    var, domain, form = u.var, kb.entity_domain, u.body
+    if not _decidable(form, scope | {var}):
+        body, free = _body(u, kb, scope, binders)
+        return (lambda env: frozenset(
+            x for x, xs in _each(_bind(body, var, env), domain) if x in xs
+        )), free
+    # The membership test reads the form itself: its body is not compiled.
+    free = free_vars(u) if binders else _NO_NAMES
+    return (lambda env: frozenset(
+        x for x in domain if _contains(x, form, kb, {**env, var: x})
+    )), free
+
+
+def _binary(b, kb: KnowledgeBase, scope: frozenset, binders: frozenset, forward: bool):
+    """((env, xs) -> {y | some x in xs has (x, y) in b}, or (x, y) swapped
+    when not `forward`; b's free variables)."""
+    while type(b) is Reverse:
+        b, forward = b.inner, not forward
+    if type(b) is Property:
+        pairs = _map(kb, b.name, forward)
+        return (lambda env, xs: _image(pairs, xs)), _NO_NAMES
+    if type(b) is not Lambda:
+        raise TypeError(f"not a resolved binary form: {b!r}")
+    var, domain = b.var, kb.entity_domain
+    body, free = _body(b, kb, scope, binders)
+    if not forward:
+        def objects(env, xs):
+            out = set()
+            for _, ys in _each(_bind(body, var, env), xs & domain):
+                out |= ys
+            return frozenset(out)
+
+        return objects, free
+    form = b.body
+    decidable = _decidable(form, scope | {var})
+
+    def subjects(env, xs):
+        # With one subject, a membership test per binding replaces building
+        # the body's set. With more, a test per binding and subject can
+        # cost more than the set, so those keep the set path.
+        if decidable and len(xs) == 1:
+            (x,) = xs
+            return frozenset(y for y in domain if _contains(x, form, kb, {**env, var: y}))
+        return frozenset(y for y, ys in _each(_bind(body, var, env), domain) if ys & xs)
+
+    return subjects, free
+
+
+def _superlative(u: Superlative, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
+    collapse = "max" if u.op == "argmax" else "min"
+    source, source_free = _unary(u.source, kb, scope, binders)
+    prop = _property(u.degree)
+    free = source_free
+    if prop is None:
+        join, degree_free = _binary(u.degree, kb, scope, binders, True)
+        if binders:
+            free = source_free | degree_free
+        related_to = _memo_member(join, degree_free, free, scope, binders)
+    else:
+        pairs = _map(kb, *prop)
+    if binders:
+        source = _memo(source, source_free, free, scope, binders)
+
+    def superlative(env):
+        xs = source(env)
+        if prop is None:
+            related = [ys for _, ys in _each(lambda x: related_to(env, x), xs)]
+        else:
+            # A degree through a property is read from that property's map.
+            # For a source large next to the map, the KB's degree order of
+            # the map is searched for the first member of the source instead
+            # (the order is built once per map, at a cost of a few scans).
+            # Where the source holds a key with a non-number degree the scan
+            # below runs, so that it alone raises NonNumericDegree; the first
+            # key found in the source tells, before any order is built,
+            # whether it surely does.
+            if pairs and 8 * len(xs) >= len(pairs):
+                first = next(filter(pairs.__contains__, xs), None)  # C speed
+                if first is None:
+                    return _EMPTY
+                if all(type(y) is Number for y in pairs[first]):
+                    degrees, keys, mixed = kb.degree_order(*prop, collapse)
+                    if xs.isdisjoint(mixed):
+                        return _first_ranked(degrees, keys, xs)
+            related = map(pairs.get, xs)
+        return _best(xs, related, collapse)
+
+    return superlative, free
+
+
+def _memo(fn, free: frozenset, mentions: frozenset, scope: frozenset, binders: frozenset):
+    """fn, the closure of a node with these free variables whose parent
+    mentions the names `mentions`; memoised, when one of `binders` is
+    among those and not among its own, by the values of its free variables
+    (once, if it has none that scope binds). A raising call stores nothing."""
+    if (binders & mentions) <= free:
+        return fn
+    names = tuple(free & scope)
+    if not names:
+        done = []
+
+        def once(env):
+            if not done:
+                done.append(fn(env))
+            return done[0]
+
+        return once
+    key, memo = itemgetter(*names), {}
+
+    def memoised(env):
+        k = key(env)
+        value = memo.get(k)
+        if value is None:
+            value = memo[k] = fn(env)
+        return value
+
+    return memoised
+
+
+def _memo_member(join, free: frozenset, mentions: frozenset, scope: frozenset, binders: frozenset):
+    """(env, x) -> the values a degree's join relates x to, memoised by x
+    and the values of its free variables by the rule of `_memo`."""
+    if (binders & mentions) <= free:
+        return lambda env, x: join(env, frozenset((x,)))
+    names = tuple(free & scope)
+    key, memo = (itemgetter(*names) if names else (lambda env: ())), {}
+
+    def related_to(env, x):
+        k = (x, key(env))
+        value = memo.get(k)
+        if value is None:
+            value = memo[k] = join(env, frozenset((x,)))
+        return value
+
+    return related_to
+
+
+def _bind(body, var: str, env):
+    """The function from a value y to the set body denotes with var bound
+    to y, set in place in one copy of env."""
+    inner = {**env}
+
+    def bound(y):
+        inner[var] = y
+        return body(inner)
+
+    return bound
 
 
 def _each(f, xs):
@@ -185,13 +430,17 @@ def _pairs(b, kb: KnowledgeBase, forward: bool = True):
 
 
 def _property(b):
-    """(name, forward) of the map `_pairs` reads for b, or None. `_pairs`
-    does not call it: joins call `_pairs` once per candidate."""
+    """(name, forward) of the map `_pairs` reads for b, or None."""
     forward = True
-    while isinstance(b, Reverse):
-        b = b.inner
-        forward = not forward
-    return (b.name, forward) if isinstance(b, Property) else None
+    while type(b) is Reverse:
+        b, forward = b.inner, not forward
+    return (b.name, forward) if type(b) is Property else None
+
+
+def _map(kb: KnowledgeBase, name: str, forward: bool):
+    """A property's map: `kb.forward[name]`, or `kb.backward[name]` when
+    not `forward`; empty for an unknown property."""
+    return (kb.forward if forward else kb.backward).get(name, {})
 
 
 def _image(pairs, xs: frozenset) -> frozenset:
@@ -202,107 +451,28 @@ def _image(pairs, xs: frozenset) -> frozenset:
     return _EMPTY.union(*filter(None, map(pairs.get, xs)))
 
 
-def eval_binary(b, kb: KnowledgeBase, env=_NO_BINDINGS) -> frozenset:
-    """The set of (subject, object) pairs denoted by b under `env`."""
-    if isinstance(b, Property):
-        return frozenset(
-            (x, y) for x, ys in kb.forward.get(b.name, {}).items() for y in ys
-        )
-    if isinstance(b, Reverse):
-        return frozenset((y, x) for x, y in eval_binary(b.inner, kb, env))
-    if isinstance(b, Lambda):
-        return frozenset(
-            (x, y) for y, xs in _each(_body(b, kb, env), kb.entity_domain) for x in xs
-        )
-    raise TypeError(f"not a resolved binary form: {b!r}")
-
-
-def _join(b, xs: frozenset, kb, env, forward: bool) -> frozenset:
-    """{y | some x in xs has (x, y) in b}, or (x, y) swapped when not
-    `forward`."""
-    pairs = _pairs(b, kb, forward)
-    if pairs is not None:
-        return _image(pairs, xs)
-    while isinstance(b, Reverse):
-        b = b.inner
-        forward = not forward
-    if not isinstance(b, Lambda):
-        raise TypeError(f"not a resolved binary form: {b!r}")
-    if not forward:
-        out = set()
-        for _, ys in _each(_body(b, kb, env), xs & kb.entity_domain):
-            out |= ys
-        return frozenset(out)
-    # With one subject, a membership test per binding replaces building the
-    # body's set. With more, a test per binding and subject can cost more
-    # than the set, so those keep the set path.
-    if len(xs) == 1 and _decidable(b.body, {*env, b.var}):
-        (x,) = xs
-        return frozenset(
-            y for y in kb.entity_domain if _contains(x, b.body, kb, {**env, b.var: y})
-        )
-    return frozenset(y for y, ys in _each(_body(b, kb, env), kb.entity_domain) if ys & xs)
-
-
-def degree_of(x, b, kb: KnowledgeBase, env=_NO_BINDINGS, collapse: str = "max"):
-    """The number b relates x to, or None if there is none.
-
-    An element related to several numbers collapses to the largest (or the
-    smallest, with collapse="min"). Any non-numeric related value raises
-    NonNumericDegree, naming the least such value by `value_sort_key`.
-    """
-    bad = []
-    d = _degree(_join(b, frozenset({x}), kb, env, True), collapse, bad)
-    if bad:
-        raise NonNumericDegree(min(bad, key=value_sort_key))
-    return d
-
-
 def _degree(related: frozenset, collapse: str, bad: list):
     """The collapsed number in `related`, or None; non-numbers go to `bad`."""
     if len(related) == 1:
         (v,) = related
-        if isinstance(v, Number):
+        if type(v) is Number:
             return v.n
         bad.append(v)
         return None
-    ns = [v.n for v in related if isinstance(v, Number)]
+    ns = [v.n for v in related if type(v) is Number]
     if len(ns) < len(related):
-        bad.extend(v for v in related if not isinstance(v, Number))
+        bad.extend(v for v in related if type(v) is not Number)
         return None
     if not ns:
         return None
     return max(ns) if collapse == "max" else min(ns)
 
 
-def _superlative(u: Superlative, kb, env) -> frozenset:
-    collapse = "max" if u.op == "argmax" else "min"
-    source = eval_unary(u.source, kb, env)
-    prop = _property(u.degree)
-    if prop is None:
-        joined = _each(lambda x: _join(u.degree, frozenset({x}), kb, env, True), source)
-        related = [ys for _, ys in joined]
-    else:
-        # A degree through a property is read from that property's map. For
-        # a source large next to the map, the KB's degree order of the map
-        # is searched for the first member of the source instead (the order
-        # is built once per map, at a cost of a few scans). Where the source
-        # holds a key with a non-number degree the scan below runs, so that
-        # it alone raises NonNumericDegree; the first key found in the
-        # source tells, before any order is built, whether it surely does.
-        name, forward = prop
-        pairs = (kb.forward if forward else kb.backward).get(name, {})
-        if pairs and 8 * len(source) >= len(pairs):
-            first = next(filter(pairs.__contains__, source), None)  # C speed
-            if first is None:
-                return _EMPTY
-            if all(isinstance(y, Number) for y in pairs[first]):
-                degrees, keys, mixed = kb.degree_order(name, forward, collapse)
-                if source.isdisjoint(mixed):
-                    return _first_ranked(degrees, keys, source)
-        related = map(pairs.get, source)
-    # Every degree is computed before any error is raised, so that a
-    # non-numeric degree is reported the same way whatever the set order.
+def _best(source: frozenset, related, collapse: str) -> frozenset:
+    """The members of source whose related set, in `related` (one per
+    member, in the source's order), collapses to the best degree. Every
+    degree is computed before any error is raised, so that a non-numeric
+    degree is reported the same way whatever the set order."""
     xs, ds, bad = [], [], []
     for x, ys in zip(source, related):
         if ys:

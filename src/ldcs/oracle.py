@@ -60,7 +60,7 @@ class _OracleEval:
     an ill-typed subterm compiles to a closure that raises
     `UnboundVariable` or `IllTyped` when it is reached, and only then.
     Each compile step also returns the node's free variables and its
-    count subterms, as pairs of free variables and closure, in
+    count subterms, as triples of free variables, closure and node, in
     `core.subterms` order. The domains widened with the term's constants
     (`base`, `candidates`, `rich`, `rich_candidates`) are set when the
     walk ends, and read by the closures when they run.
@@ -69,8 +69,9 @@ class _OracleEval:
     variable in place, and tries the candidates in `value_sort_key`
     order: an existential stops at its first witness, and the first
     candidate that reaches an error raises it, so neither the work nor the
-    error depends on set order. An existential whose leftmost conjunct
-    pins its variable tries only the candidates that satisfy it
+    error depends on set order. A loop whose leftmost conjunct pins its
+    variable (an existential's, a one-argument lambda's, or a
+    superlative's degree loop) tries only the candidates that satisfy it
     (`_witnesses`). Existentials, one-argument lambdas and superlative
     applications are memoized per binding of their free variables: a
     memo key is the values of those the node's scope binds, and a memo
@@ -203,43 +204,81 @@ class _OracleEval:
 
         return exists, names, counts
 
-    def _witnesses(self, var: str, body, scope: frozenset):
-        """env -> the candidates an existential over var tries, in
-        `value_sort_key` order. When the leftmost conjunct of body (through
-        left-nested `&`) is `[var = t]`, `[t = var]`, `p(t, var)` or
-        `p(var, t)`, with t a constant or another variable that scope
-        binds, these are only the candidates that satisfy that conjunct:
-        t's value, or its objects or subjects under p. Every other
-        candidate fails the conjunct, and `&` stops there, before anything
-        that could raise; so the witness, the memos and the errors are
-        those of trying every candidate. The whole body still runs on each
-        one, so a predicate's witness is confirmed in `kb.triples`."""
+    def _witnesses(self, var: str, body, scope: frozenset, counts: tuple = (), rich: bool = False):
+        """env -> the candidates a loop binding var over body tries, in
+        `value_sort_key` order: the domain (`_domain`, of these count
+        subterms), or only those of its members that satisfy the leftmost
+        conjunct of body (through left-nested `&`) where that conjunct
+        pins var. It does when it is `[var = t]`, `[t = var]`, `p(t, var)`
+        or `p(var, t)`, with t a constant or another variable that scope
+        binds, or, in a loop whose domain the counts widen, `[var = c]` or
+        `[c = var]` with c one of them whose free variables scope binds.
+        The members tried are then t's value, its objects or subjects
+        under p, or c's value. Every other candidate fails the conjunct,
+        and `&` stops there, before anything that could raise; so the
+        result, the memos and the errors are those of trying every
+        candidate. The counts that widen the domain still run first, so
+        that their errors come first, and the whole body still runs on
+        each candidate, so a predicate's witness is confirmed in
+        `kb.triples`."""
         first = body
         while type(first) is lc.And:
             first = first.left
         if type(first) is not lc.Eq and type(first) is not lc.Pred:
-            return lambda env: self.candidates
+            return self._domain(counts, rich)
         ends = first.children()
         at = tuple(type(e) is lc.Var and e.name == var for e in ends)
         anchor = ends[at[0]]  # the other end when var is at one of them
-        if at[0] == at[1] or not (
-            type(anchor) is lc.Const or _bound_name(anchor, scope)
-        ):
-            return lambda env: self.candidates
-        if type(first) is lc.Eq:
-            def related(value):
-                return (value,) if value in self.base else ()
-        else:
-            lists, outside = self.related.get((first.property, at[1]), _NO_RELATED)
-
-            def related(value):
-                found = lists.get(value, ())
-                return [w for w in found if w in self.base] if outside else found
-        if type(anchor) is lc.Const:
+        if at[0] == at[1]:
+            return self._domain(counts, rich)
+        kind = type(anchor)
+        if kind is lc.Const:
             value = anchor.value
-            return lambda env: related(value)
-        name = anchor.name
-        return lambda env: related(env[name])
+
+            def value_of(env):
+                return value
+        elif _bound_name(anchor, scope):
+            value_of = itemgetter(anchor.name)
+        elif kind is lc.CountApp and type(first) is lc.Eq:
+            value_of = next((
+                count for names, count, node in reversed(counts)
+                if node is anchor and var not in names and names <= scope
+            ), None)
+            if value_of is None:
+                return self._domain(counts, rich)
+        else:
+            return self._domain(counts, rich)
+        extra = self._extra(counts, rich) if counts else None
+        if type(first) is lc.Pred:
+            lists, outside = self.related.get((first.property, at[1]), _NO_RELATED)
+            # Every subject is an entity, and every object is in `rich`.
+            if rich or not outside:
+                if extra is not None:
+                    def listed(env):
+                        extra(env)  # first, so that a count's error comes first
+                        return lists.get(value_of(env), ())
+
+                    return listed
+                if kind is lc.Const:
+                    found = lists.get(value, ())
+                    return lambda env: found
+                return lambda env: lists.get(value_of(env), ())
+
+            def objects_kept(env):
+                more = extra(env) if extra is not None else _NO_NAMES
+                kept = self.rich if rich else self.base
+                return [w for w in lists.get(value_of(env), ()) if w in kept or w in more]
+
+            return objects_kept
+        if kind is lc.Const and extra is None:
+            return lambda env: (value,)  # the term's constants are in every domain
+
+        def value_kept(env):
+            more = extra(env) if extra is not None else _NO_NAMES
+            v = value_of(env)
+            return (v,) if v in (self.rich if rich else self.base) or v in more else ()
+
+        return value_kept
 
     # -- element terms ---------------------------------------------------------
 
@@ -260,7 +299,7 @@ class _OracleEval:
             def count(env):
                 return core.Number(len(members(env)))
 
-            return count, names, ((names, count),) + counts
+            return count, names, ((names, count, t),) + counts
         return self._ill_typed(t, scope, "not an element term: ", t)
 
     # -- sets ------------------------------------------------------------------
@@ -272,7 +311,7 @@ class _OracleEval:
         var = term.var
         body, names, counts = self.formula(term.body, scope | {var})
         names = names - {var}
-        domain = self._domain(counts, rich=False)
+        candidates = self._witnesses(var, term.body, scope, counts)
         key, memo = self._memo(term, names, scope)
 
         def value_set(env):
@@ -281,7 +320,7 @@ class _OracleEval:
             if members is None:
                 inner = env.copy()
                 members = []
-                for v in domain(env):
+                for v in candidates(env):
                     inner[var] = v
                     if body(inner):
                         members.append(v)
@@ -335,7 +374,7 @@ class _OracleEval:
         sv, dv, body_t = deg.var, deg.body.var, deg.body.body
         body, body_names, body_counts = self.formula(body_t, scope | {sv, dv})
         names = names | (body_names - {sv, dv})
-        domain = self._domain(body_counts, rich=True)
+        candidates = self._witnesses(dv, body_t, scope | {sv}, body_counts, rich=True)
         best_of = max if t.op == "argmax" else min
         key, memo = self._memo(t, names, scope)
 
@@ -351,7 +390,7 @@ class _OracleEval:
                 outer[sv] = m
                 inner = outer.copy()
                 cands = []
-                for v in domain(outer):
+                for v in candidates(outer):
                     inner[dv] = v
                     if body(inner):
                         cands.append(v)
@@ -373,19 +412,26 @@ class _OracleEval:
     def _domain(self, counts: tuple, rich: bool):
         """env -> the domain of a variable bound over a body with these
         count subterms: the candidates (`rich_candidates` if rich) and the
-        values of the counts whose free variables env binds. Every name env
-        binds is in the scope its count was compiled in."""
+        values of the counts whose free variables env binds."""
         if not counts:
             return (lambda env: self.rich_candidates) if rich else (lambda env: self.candidates)
+        extra = self._extra(counts, rich)
+        if rich:
+            return lambda env: _sorted_in(self.rich_candidates, extra(env))
+        return lambda env: _sorted_in(self.candidates, extra(env))
 
-        def domain(env):
+    def _extra(self, counts: tuple, rich: bool):
+        """env -> the values of the counts whose free variables env binds
+        that are not candidates (`rich_candidates` if rich), running those
+        counts in order. Every name env binds is in the scope its count
+        was compiled in."""
+
+        def extra(env):
             bound = env.keys()
-            found = {count(env) for names, count in counts if names <= bound}
-            if rich:
-                return _sorted_in(self.rich_candidates, found - self.rich)
-            return _sorted_in(self.candidates, found - self.base)
+            found = {count(env) for names, count, _ in counts if names <= bound}
+            return found - (self.rich if rich else self.base)
 
-        return domain
+        return extra
 
 
 _NO_NAMES: frozenset = frozenset()

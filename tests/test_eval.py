@@ -16,6 +16,7 @@ from ldcs import (
     Aggregate,
     Entity,
     EntityLit,
+    EvalError,
     Intersect,
     Join,
     Lambda,
@@ -229,8 +230,7 @@ def _naive(u, kb, env):
     if isinstance(u, Var):
         return {env[u.name]}
     if isinstance(u, Join):
-        inner = _naive(u.unary, kb, env)
-        return {x for x, y in _naive_pairs(u.binary, kb, env) if y in inner}
+        return _naive_related(u.binary, _naive(u.unary, kb, env), kb, env, False)
     if isinstance(u, Intersect):
         return _naive(u.left, kb, env) & _naive(u.right, kb, env)
     if isinstance(u, Union):
@@ -253,8 +253,8 @@ def _domain(kb):
 
 def _naive_superlative(u, kb, env):
     pick = max if u.op == "argmax" else min
-    pairs = _naive_pairs(u.degree, kb, env)
-    related = {x: {y for a, y in pairs if a == x} for x in _naive(u.source, kb, env)}
+    source = sorted(_naive(u.source, kb, env), key=value_sort_key)
+    related = {x: _naive_related(u.degree, {x}, kb, env, True) for x in source}
     bad = {y for ys in related.values() for y in ys if not isinstance(y, Number)}
     if bad:
         raise NonNumericDegree(min(bad, key=value_sort_key))
@@ -273,14 +273,48 @@ def _naive_pairs(b, kb, env):
     return {(x, y) for y in _domain(kb) for x in _naive(b.body, kb, {**env, b.var: y})}
 
 
+def _naive_related(b, xs, kb, env, forward):
+    """{y | (x, y) in b for some x in xs}, or {x | (x, y) in b for some y
+    in xs} when not `forward`. A lam relates x to y when x is in its body
+    with its variable bound to y, an entity; the body is evaluated at
+    those y alone that can relate to xs, in value order."""
+    if isinstance(b, Reverse):
+        return _naive_related(b.inner, xs, kb, env, not forward)
+    if isinstance(b, Property):
+        pairs = _naive_pairs(b, kb, env)
+        if forward:
+            return {y for x, y in pairs if x in xs}
+        return {x for x, y in pairs if y in xs}
+    def body(y):
+        return _naive(b.body, kb, {**env, b.var: y})
+    if forward:
+        return {y for y in _domain(kb) if body(y) & xs}
+    return set().union(*(body(y) for y in _domain(kb) if y in xs))
+
+
+def _outcome(f):
+    """f's set, or the type and text of the evaluation error it raises."""
+    try:
+        return frozenset(f())
+    except EvalError as exc:
+        return type(exc), str(exc)
+
+
 def _unary(draw, depth, scope):
     kinds = ["leaf"] if depth == 0 else ["leaf", "join", "join", "and", "or", "not",
-                                         "mu", "mu", "count"]
+                                         "mu", "mu", "count", "closed", "sup", "sup"]
     kind = draw(st.sampled_from(kinds))
     if kind == "leaf":
         if scope and draw(st.booleans()):
             return Var(draw(st.sampled_from(scope)))
         return EntityLit(draw(st.sampled_from(_OBJS)))
+    if kind == "closed":
+        # A closed subterm under the binders of scope, whose own binders
+        # may take their names.
+        return _unary(draw, depth - 1, ())
+    if kind == "sup":
+        op = draw(st.sampled_from(["argmax", "argmin"]))
+        return Superlative(op, _unary(draw, depth - 1, scope), _degree(draw, depth - 1, scope))
     if kind == "join":
         return Join(_binary(draw, depth - 1, scope), _unary(draw, depth - 1, scope))
     if kind in ("and", "or"):
@@ -312,6 +346,22 @@ def _binary(draw, depth, scope):
     return b
 
 
+def _degree(draw, depth, scope):
+    """A superlative's degree: a property, which may relate to entities,
+    R[(lam v . count(R[p].v))], which may also read the enclosing
+    binders, or any binary."""
+    kind = draw(st.sampled_from(["prop", "count", "binary"]))
+    if kind == "prop":
+        return Property(draw(st.sampled_from(["p", "q"])))
+    if kind == "binary":
+        return _binary(draw, depth, scope)
+    var = _binder(draw, scope)
+    counted = Join(Reverse(Property(draw(st.sampled_from(["p", "q"])))), Var(var))
+    if scope and draw(st.booleans()):
+        counted = Intersect(counted, Negate(Var(draw(st.sampled_from(scope)))))
+    return Reverse(Lambda(var, Aggregate("count", counted)))
+
+
 def _small_kb(draw):
     triples = draw(st.sets(
         st.tuples(st.sampled_from(_ENTS[:4]), st.sampled_from(["p", "q"]),
@@ -324,14 +374,24 @@ def _small_kb(draw):
 @st.composite
 def _binder_cases(draw):
     kb = _small_kb(draw)
-    var = draw(st.sampled_from(["mu", "lam"]))
-    body = _unary(draw, 3, ("v0",))
-    if var == "mu":
-        return kb, Mu("v0", body)
-    b = Lambda("v0", body)
+    # One to three binders around a body that may read each of them, so
+    # that a subterm can read outer binders and not the innermost one.
+    names = ("v0", "v1", "v2")[:draw(st.integers(1, 3))]
+    u = _unary(draw, 4 - len(names), names)
+    for i in reversed(range(len(names))):
+        u = _around(draw, names[i], u, names[:i])
+    return kb, u
+
+
+def _around(draw, var, body, scope):
+    """A mu of var over body, or a lam of var over body joined from a form
+    over scope."""
+    if draw(st.booleans()):
+        return Mu(var, body)
+    b = Lambda(var, body)
     for _ in range(draw(st.integers(0, 2))):
         b = Reverse(b)
-    return kb, Join(b, _unary(draw, 2, ()))
+    return Join(b, _unary(draw, 1, scope))
 
 
 @pytest.mark.parametrize("text", [
@@ -364,11 +424,33 @@ def test_a_shadowing_binder_matches_the_set_definitions(u, kb):
     assert eval_unary(u, kb) == _naive(u, kb, {})
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("text", [
+    # count(Border.x) reads x and not y: it is memoised per value of x.
+    "(lam x . (lam y . count(Border.x) | (y & Type.USState)).(Washington | Oregon))"
+    ".(Oregon | California)",
+    # The source reads y and the degree x: each member's degree is
+    # memoised per value of x.
+    "(lam x . x & (lam y . argmax(Type.Person & !y, R[(lam v . count(v & x))])).Eve)"
+    ".(Alice | Bob | Carol)",
+    # The same with a closed degree: each member's degree is its own.
+    "(lam x . x & (lam y . argmax(Type.Person & !y, R[(lam v . count(R[Children].v))])).Eve)"
+    ".(Alice | Dave)",
+])
+def test_a_memo_follows_the_bindings_it_reads(text, kb):
+    # The outer lam binds x to each joined value alone, so whichever comes
+    # first in set order, a memo that ignored x would answer for it.
+    u = resolve(parse_unary(text), kb, strict=True)
+    assert eval_unary(u, kb) == _naive(u, kb, {})
+
+
+@settings(max_examples=300, deadline=None)
 @given(_binder_cases())
 def test_binders_match_the_set_definitions(case):
+    # Bodies hold closed subterms under nested binders, and superlatives
+    # whose degrees may raise; an error must name what the definitions'
+    # least binding does.
     kb, u = case
-    assert eval_unary(u, kb) == _naive(u, kb, {})
+    assert _outcome(lambda: eval_unary(u, kb)) == _outcome(lambda: _naive(u, kb, {}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -376,7 +458,7 @@ def test_binders_match_the_set_definitions(case):
 def test_binaries_match_the_set_definitions(data):
     kb = _small_kb(data.draw)
     b = _binary(data.draw, 3, ())
-    assert eval_binary(b, kb) == _naive_pairs(b, kb, {})
+    assert _outcome(lambda: eval_binary(b, kb)) == _outcome(lambda: _naive_pairs(b, kb, {}))
 
 
 _LEAST_ERROR = """
@@ -565,3 +647,11 @@ def test_a_key_related_to_a_number_and_an_entity_keeps_the_scan_error(op):
     u = Superlative(op, Union(EntityLit(r0), ranked), Property("p"))
     with pytest.raises(NonNumericDegree, match="non-numeric value: r1$"):
         eval_unary(u, kb)
+
+
+@pytest.mark.parametrize("op", [" | ", " & "])
+def test_a_long_chain_still_evaluates(op, kb):
+    # A left-nested chain costs one frame per operand, when compiled and
+    # when run; 900 operands fit under the default recursion limit.
+    u = resolve(parse_unary(op.join(["Type.City"] * 900)), kb, strict=True)
+    assert eval_unary(u, kb) == {SEA, PDX}

@@ -363,6 +363,124 @@ def test_an_existential_not_pinned_tries_every_candidate(kb, text):
     assert list(every) == sorted(kb.entity_domain, key=core.value_sort_key)
 
 
+_STATES = "lambda y . Type(y,USState)"
+_PERSONS = "lambda y . Type(y,Person)"
+_CITIES = "lambda y . Type(y,City)"
+
+
+@pytest.mark.parametrize("text, expected", [
+    # A set lambda whose leftmost conjunct equates its variable with a
+    # count whose variables are bound tries that count's value alone.
+    ("lambda x . [x = count(lambda y . Type(y,USState))] & !Type(x,Person)", {3}),
+    ("lambda x . [count(lambda y . Children(Dave,y)) = x]", {2}),
+    ("lambda x . [x = count(lambda y . Type(y,Planet))] & [x = 0]", {0}),
+    ("lambda x . [x = count(lambda y . Type(y,Planet))] & [x = 1]", set()),
+    # A count that reads the variable pins nothing, also when the
+    # variable shadows an enclosing one.
+    ("lambda x . [x = count(lambda y . Children(x,y))]", set()),
+    ("lambda x . [x = count(lambda x . [x = count(lambda y . Children(x,y))])]", {0}),
+    # Counts bound by an enclosing lambda or existential.
+    ("lambda x . Type(x,Person) & "
+     "[count(lambda y . [y = count(lambda z . Children(x,z))] & [y = 2]) = 1]", {"Dave"}),
+    ("lambda x . exists y . Children(x,y) & "
+     "[count(lambda z . [z = count(lambda w . Children(y,w))]) = 1]", {"Dave", "Eve"}),
+    ("lambda x . [x = count(lambda y . Type(y,City))] || [x = count(lambda y . Type(y,USState))]",
+     {2, 3}),
+    # A degree loop pinned by Area(s,d), by a constant, or by Children(d,s).
+    (f"lambda x . in(x, argmin({_STATES} || Type(y,City), lambda s . lambda d . Area(s,d)))",
+     {"Washington"}),
+    (f"lambda x . in(x, argmax({_STATES}, lambda s . lambda d . [d = 98] & Area(s,d)))",
+     {"Oregon"}),
+    # A number reached by a pin is tried only where the domain holds it.
+    (f"lambda x . in(x, argmax({_STATES}, "
+     "lambda s . lambda d . Area(s,d) & [count(lambda z . [z = d]) = 0]))", {"California"}),
+    (f"lambda x . in(x, argmax({_STATES}, "
+     "lambda s . lambda d . Area(s,d) & [count(lambda z . [z = d]) = 1]))", set()),
+    # A degree loop pinned by [d = count(...)].
+    (f"lambda x . in(x, argmax({_PERSONS}, "
+     "lambda s . lambda d . [d = count(lambda c . Children(s,c))] & !Type(s,City)))", {"Dave"}),
+    (f"lambda x . in(x, argmin({_CITIES}, "
+     "lambda s . lambda d . [count(lambda p . PlaceOfBirth(p,s)) = d]))", {"Portland", "Seattle"}),
+    (f"lambda x . in(x, argmax({_PERSONS}, "
+     "lambda s . lambda d . [d = count(lambda c . Children(s,c))] || [d = 5]))",
+     {"Alice", "Bob", "Carol", "Dave", "Eve"}),
+])
+def test_lc_eval_pinned_loops(kb, text, expected):
+    assert _names(lc_eval(parse_lc(text), kb)) == expected
+
+
+def _in_argmax(source, degree_body):
+    return lc.Lam("x", lc.In(lc.Var("x"), lc.SupApp(
+        "argmax", parse_lc(source), lc.Lam("s", lc.Lam("d", degree_body)))))
+
+
+_D_PLACE_COUNT = parse_lc("lambda d . [d = count(lambda p . PlaceOfBirth(p,s))]").body
+_D_COUNT_SEATTLE = lc.Eq(lc.Var("d"), parse_lc("count(Seattle)"))
+_D_NOT_A_SUPERLATIVE = parse_lc("lambda d . in(d, lambda z . [z = d])").body
+
+
+@pytest.mark.parametrize("term, error, message", [
+    # An anchor count that raises raises before any candidate is tried,
+    # and the other counts of the body still run first in their order.
+    (lc.Lam("x", lc.And(_COUNT_SEATTLE, _CITY)), IllTyped, "expected a one-argument lambda term"),
+    (lc.Lam("x", lc.And(_COUNT_SEATTLE, _COUNT_ILL_TYPED)), IllTyped,
+     "not an element term: lambda q . Type(q,City)"),
+    (lc.Lam("x", lc.And(_COUNT_ILL_TYPED, _COUNT_SEATTLE)), IllTyped,
+     "expected a one-argument lambda term"),
+    (parse_lc("lambda x . [x = count(lambda y . Type(y,City))] & in(x, lambda z . [z = x])"),
+     IllTyped, "not a superlative application: lambda z . [z = x]"),
+    (_in_argmax(_CITIES, _D_COUNT_SEATTLE), IllTyped, "expected a one-argument lambda term"),
+    (_in_argmax(_CITIES, lc.And(_D_PLACE_COUNT, _D_COUNT_SEATTLE)), IllTyped,
+     "expected a one-argument lambda term"),
+    (_in_argmax(_CITIES, lc.And(_D_PLACE_COUNT, _D_NOT_A_SUPERLATIVE)), IllTyped,
+     "not a superlative application: lambda z . [z = d]"),
+    (parse_lc("lambda x . in(x, argmax(lambda y . [y = Alice], lambda s . lambda d . Children(d,s)))"),
+     NonNumericDegree, "degree produced a non-numeric value: Dave"),
+])
+def test_lc_eval_pinned_loops_raise_the_first_error(kb, term, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        lc_eval(term, kb)
+
+
+@pytest.mark.parametrize("outer, text, env, rich, tried", [
+    ("", "[x = count(lambda y . Type(y,USState))] & Type(x,Person)", {}, False, [3]),
+    ("", "[count(lambda y . Children(Dave,y)) = x]", {}, False, [2]),
+    ("s", "Area(s,x)", {"s": "California"}, True, [164]),
+    ("s", "[x = count(lambda p . PlaceOfBirth(p,s))]", {"s": "Seattle"}, True, [2]),
+    ("s", "Children(x,s)", {"s": "Alice"}, True, ["Dave"]),
+    ("s", "[x = 98] & Area(s,x)", {"s": "Oregon"}, True, [98]),
+])
+def test_a_loop_tries_only_what_its_leading_conjunct_allows(kb, outer, text, env, rich, tried):
+    ev, body, scope, counts = _compiled_loop(kb, outer, text)
+    env = {name: Entity(value) for name, value in env.items()}
+    witnesses = ev._witnesses("x", body, scope, counts, rich)
+    assert [_plain(v) for v in witnesses(env)] == tried
+
+
+@pytest.mark.parametrize("text", [
+    "[x = count(lambda y . Children(x,y))]",
+    "[x = x] & [x = count(lambda y . Type(y,City))]",
+    "[count(lambda y . Type(y,City)) = count(lambda y . Type(y,USState))]",
+    "!Type(x,City) & [x = count(lambda y . Type(y,City))]",
+])
+def test_a_set_lambda_not_pinned_tries_its_whole_domain(kb, text):
+    ev, body, scope, counts = _compiled_loop(kb, "", text)
+    every = ev._witnesses("x", body, scope, counts)({})
+    assert list(every) == list(ev._domain(counts, rich=False)({}))
+
+
+def _compiled_loop(kb, outer, text):
+    """An evaluator with the domains of `lambda [outer .] lambda x . text`
+    set, and the body, the scope and the count subterms of the loop over x."""
+    term = parse_lc(f"lambda {outer} . lambda x . {text}" if outer else f"lambda x . {text}")
+    ev = oracle._OracleEval(kb)
+    ev.compile(term)
+    body = term.body.body if outer else term.body
+    scope = frozenset({outer} - {""})
+    _, _, counts = ev.formula(body, scope | {"x"})
+    return ev, body, scope, counts
+
+
 def test_lc_eval_leaves_no_reference_cycle(kb):
     # The closures refer to the evaluator, never the other way round, so
     # reference counting frees a call's closures and memos: left to the
