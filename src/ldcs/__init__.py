@@ -29,10 +29,9 @@ _EXPORTS = {
     ),
     "errors": (
         "BadObject", "BadSubject", "EvalError", "IllTyped", "KbFormatError",
-        "LdcsError", "MalformedLine", "NonNumericDegree", "ParseError",
-        "ResolveError", "ShadowedVariable", "UnbalancedDelimiter",
-        "UnboundVariable", "UnknownProperty", "UnsupportedConstruct",
-        "VariableInBinaryPosition",
+        "LdcsError", "MalformedLine", "ParseError", "ResolveError",
+        "ShadowedVariable", "UnbalancedDelimiter", "UnboundVariable",
+        "UnknownProperty", "UnsupportedConstruct", "VariableInBinaryPosition",
     ),
     "kb": ("KnowledgeBase", "Triple", "dump_kb", "from_triples", "load_kb", "load_kb_file"),
     "parser": ("format_binary", "format_unary", "parse_unary", "resolve"),

@@ -7,8 +7,8 @@
     ldcs repl [-k KB]                  interactive loop
 
 Exit codes: 0 success, 1 bad input (syntax, resolution, KB loading, an
-argument out of range), 2 evaluation error, 3 construct outside the SPARQL
-subset.
+argument out of range), 2 evaluation error (no form that parses raises
+one), 3 construct outside the SPARQL subset.
 
 Each command imports the modules it runs, in its own function: a cold
 `ldcs eval` loads neither the translation (`convert`, `lc`), the oracle

@@ -81,14 +81,6 @@ class UnboundVariable(EvalError):
         self.name = name
 
 
-class NonNumericDegree(EvalError):
-    """A superlative degree related an element to a non-number."""
-
-    def __init__(self, value: object):
-        super().__init__(f"degree produced a non-numeric value: {value}")
-        self.value = value
-
-
 class IllTyped(EvalError):
     """A lambda-calculus term mixes denotation kinds illegally."""
 

@@ -24,9 +24,14 @@ candidate is a member (`_contains`), which probes the indexes from that
 candidate and never builds a complement; each candidate is bound in a new
 mapping. Where they do build the body's set, a binder copies the
 environment once each time it runs and sets its variable in place for
-each binding; there, and where a superlative reads each member's degree
-through a binder, a body that raises for several bindings raises the
-error of the least of them by `value_sort_key` (see `_each`).
+each binding.
+
+A superlative's member has the largest (for argmin, the smallest) number
+its degree relates it to as its degree; a member related to no number has
+none and drops out. So a superlative never raises, and the one error left
+is `UnboundVariable`, which no parsed form reaches: a tree built through
+the API with two different unbound names under one binder may report
+either one.
 """
 
 from __future__ import annotations
@@ -49,9 +54,8 @@ from .core import (
     Union,
     Var,
     free_vars,
-    value_sort_key,
 )
-from .errors import EvalError, NonNumericDegree, UnboundVariable
+from .errors import UnboundVariable
 from .kb import KnowledgeBase
 
 __all__ = ["eval_unary", "eval_binary", "degree_of"]
@@ -77,26 +81,22 @@ def eval_binary(b, kb: KnowledgeBase, env=_NO_BINDINGS) -> frozenset:
         return frozenset((x, y) for x, ys in pairs.items() for y in ys)
     if type(b) is not Lambda:
         raise TypeError(f"not a resolved binary form: {b!r}")
-    body = _body(b, kb, frozenset(env), _NO_NAMES)[0]
-    each = _each(_bind(body, b.var, env), kb.entity_domain)
+    bound = _bind(_body(b, kb, frozenset(env), _NO_NAMES)[0], b.var, env)
+    each = [(y, bound(y)) for y in kb.entity_domain]
     if forward:
         return frozenset((x, y) for y, xs in each for x in xs)
     return frozenset((y, x) for y, xs in each for x in xs)
 
 
 def degree_of(x, b, kb: KnowledgeBase, env=_NO_BINDINGS, collapse: str = "max"):
-    """The number b relates x to, or None if there is none.
+    """The number b relates x to, or None if it relates x to no number.
 
     An element related to several numbers collapses to the largest (or the
-    smallest, with collapse="min"). Any non-numeric related value raises
-    NonNumericDegree, naming the least such value by `value_sort_key`.
+    smallest, with collapse="min"); the values that are not numbers are
+    skipped.
     """
     join = _binary(b, kb, frozenset(env), _NO_NAMES, True)[0]
-    bad = []
-    d = _degree(join(env, frozenset((x,))), collapse, bad)
-    if bad:
-        raise NonNumericDegree(min(bad, key=value_sort_key))
-    return d
+    return _degree(join(env, frozenset((x,))), collapse)
 
 
 # --- the compile walk ---------------------------------------------------------
@@ -197,9 +197,12 @@ def _mu(u: Mu, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
     var, domain, form = u.var, kb.entity_domain, u.body
     if not _decidable(form, scope | {var}):
         body, free = _body(u, kb, scope, binders)
-        return (lambda env: frozenset(
-            x for x, xs in _each(_bind(body, var, env), domain) if x in xs
-        )), free
+
+        def mu(env):
+            bound = _bind(body, var, env)
+            return frozenset(x for x in domain if x in bound(x))
+
+        return mu, free
     # The membership test reads the form itself: its body is not compiled.
     free = free_vars(u) if binders else _NO_NAMES
     return (lambda env: frozenset(
@@ -221,10 +224,8 @@ def _binary(b, kb: KnowledgeBase, scope: frozenset, binders: frozenset, forward:
     body, free = _body(b, kb, scope, binders)
     if not forward:
         def objects(env, xs):
-            out = set()
-            for _, ys in _each(_bind(body, var, env), xs & domain):
-                out |= ys
-            return frozenset(out)
+            bound = _bind(body, var, env)
+            return _EMPTY.union(*map(bound, xs & domain))
 
         return objects, free
     form = b.body
@@ -237,7 +238,8 @@ def _binary(b, kb: KnowledgeBase, scope: frozenset, binders: frozenset, forward:
         if decidable and len(xs) == 1:
             (x,) = xs
             return frozenset(y for y in domain if _contains(x, form, kb, {**env, var: y}))
-        return frozenset(y for y, ys in _each(_bind(body, var, env), domain) if ys & xs)
+        bound = _bind(body, var, env)
+        return frozenset(y for y in domain if not xs.isdisjoint(bound(y)))
 
     return subjects, free
 
@@ -260,26 +262,16 @@ def _superlative(u: Superlative, kb: KnowledgeBase, scope: frozenset, binders: f
     def superlative(env):
         xs = source(env)
         if prop is None:
-            related = [ys for _, ys in _each(lambda x: related_to(env, x), xs)]
-        else:
-            # A degree through a property is read from that property's map.
-            # For a source large next to the map, the KB's degree order of
-            # the map is searched for the first member of the source instead
-            # (the order is built once per map, at a cost of a few scans).
-            # Where the source holds a key with a non-number degree the scan
-            # below runs, so that it alone raises NonNumericDegree; the first
-            # key found in the source tells, before any order is built,
-            # whether it surely does.
-            if pairs and 8 * len(xs) >= len(pairs):
-                first = next(filter(pairs.__contains__, xs), None)  # C speed
-                if first is None:
-                    return _EMPTY
-                if all(type(y) is Number for y in pairs[first]):
-                    degrees, keys, mixed = kb.degree_order(*prop, collapse)
-                    if xs.isdisjoint(mixed):
-                        return _first_ranked(degrees, keys, xs)
-            related = map(pairs.get, xs)
-        return _best(xs, related, collapse)
+            return _best(xs, [related_to(env, x) for x in xs], collapse)
+        # A degree through a property is read from that property's map. For
+        # a source large next to the map, the KB's degree order of the map
+        # is searched for the first member of the source instead (the order
+        # is built once per map, at a cost of a few scans).
+        if pairs and 8 * len(xs) >= len(pairs):
+            if pairs.keys().isdisjoint(xs):  # runs over the smaller side
+                return _EMPTY
+            return _first_ranked(*kb.degree_order(*prop, collapse), xs)
+        return _best(xs, map(pairs.get, xs), collapse)
 
     return superlative, free
 
@@ -341,22 +333,6 @@ def _bind(body, var: str, env):
         return body(inner)
 
     return bound
-
-
-def _each(f, xs):
-    """(x, f(x)) for each x of xs, in set order.
-
-    Should f raise an EvalError, it is called again on xs in
-    `value_sort_key` order and the least x's error is raised, so that the
-    error does not follow the set order of xs.
-    """
-    try:
-        for x in xs:
-            yield x, f(x)
-    except EvalError:
-        for x in sorted(xs, key=value_sort_key):
-            f(x)
-        raise
 
 
 def _decidable(u, bound) -> bool:
@@ -451,18 +427,12 @@ def _image(pairs, xs: frozenset) -> frozenset:
     return _EMPTY.union(*filter(None, map(pairs.get, xs)))
 
 
-def _degree(related: frozenset, collapse: str, bad: list):
-    """The collapsed number in `related`, or None; non-numbers go to `bad`."""
+def _degree(related: frozenset, collapse: str):
+    """The collapsed number in `related`, or None if it holds none."""
     if len(related) == 1:
         (v,) = related
-        if type(v) is Number:
-            return v.n
-        bad.append(v)
-        return None
+        return v.n if type(v) is Number else None
     ns = [v.n for v in related if type(v) is Number]
-    if len(ns) < len(related):
-        bad.extend(v for v in related if type(v) is not Number)
-        return None
     if not ns:
         return None
     return max(ns) if collapse == "max" else min(ns)
@@ -470,18 +440,14 @@ def _degree(related: frozenset, collapse: str, bad: list):
 
 def _best(source: frozenset, related, collapse: str) -> frozenset:
     """The members of source whose related set, in `related` (one per
-    member, in the source's order), collapses to the best degree. Every
-    degree is computed before any error is raised, so that a non-numeric
-    degree is reported the same way whatever the set order."""
-    xs, ds, bad = [], [], []
+    member, in the source's order), collapses to the best degree."""
+    xs, ds = [], []
     for x, ys in zip(source, related):
         if ys:
-            d = _degree(ys, collapse, bad)
+            d = _degree(ys, collapse)
             if d is not None:
                 xs.append(x)
                 ds.append(d)
-    if bad:
-        raise NonNumericDegree(min(bad, key=value_sort_key))
     if not ds:
         return _EMPTY
     best = max(ds) if collapse == "max" else min(ds)

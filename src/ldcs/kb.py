@@ -15,7 +15,7 @@ import re
 from collections import namedtuple
 from contextlib import contextmanager
 from itertools import chain, compress, repeat
-from operator import attrgetter, not_
+from operator import attrgetter
 from types import MappingProxyType
 
 from .core import Entity, Frozen, Number, Value, render_value, value_sort_key
@@ -112,15 +112,14 @@ class KnowledgeBase(Frozen):
         return value
 
     def degree_order(self, prop: str, forward: bool, collapse: str):
-        """The keys of a property map ranked by degree, as
-        (degrees, keys, mixed).
+        """The keys of a property map ranked by degree, as (degrees, keys).
 
         The map is `forward[prop]`, or `backward[prop]` when not `forward`.
-        `keys` holds the keys whose related values are all numbers, best
-        first, and `degrees` their degrees in the same order: a key's degree
-        is its largest number and the largest comes first for
-        collapse="max", the smallest for "min". `mixed` is the frozenset of
-        the other keys. Built once per map and collapse (`derived`).
+        `keys` holds the keys related to at least one number, best first,
+        and `degrees` their degrees in the same order. For collapse="max" a
+        key's degree is the largest number it is related to and the largest
+        comes first; for "min" the smallest. The values that are not
+        numbers are skipped. Built once per map and collapse (`derived`).
         """
         return self.derived(_rank, prop, forward, collapse)
 
@@ -140,20 +139,16 @@ def _rank(kb: KnowledgeBase, prop: str, forward: bool, collapse: str):
         numeric = list(map(isinstance, values, repeat(Number)))
         ranked = list(compress(keys, numeric))
         degrees = list(map(_number, compress(values, numeric)))
-        mixed = frozenset(compress(keys, map(not_, numeric)))
     else:
         pick = max if collapse == "max" else min
-        ranked, degrees, mixed = [], [], set()
+        ranked, degrees = [], []
         for x, ys in pairs.items():
             ns = [y.n for y in ys if isinstance(y, Number)]
-            if len(ns) == len(ys):
+            if ns:
                 ranked.append(x)
                 degrees.append(pick(ns))
-            else:
-                mixed.add(x)
-        mixed = frozenset(mixed)
     order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=collapse == "max")
-    return tuple(map(degrees.__getitem__, order)), tuple(map(ranked.__getitem__, order)), mixed
+    return tuple(map(degrees.__getitem__, order)), tuple(map(ranked.__getitem__, order))
 
 
 @contextmanager

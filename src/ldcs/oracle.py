@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import core, lc
 from .convert import simplify, to_lc_unary
-from .errors import IllTyped, NonNumericDegree, UnboundVariable
+from .errors import IllTyped, UnboundVariable
 from .evaluator import eval_unary
 from .kb import KnowledgeBase
 from .parser import MAX_DEPTH, format_unary
@@ -384,25 +384,17 @@ class _OracleEval:
             if winners is not None:
                 return winners
             scored = []
-            bad = []
             outer = env.copy()
             for m in sorted(members_of(env), key=core.value_sort_key):
                 outer[sv] = m
                 inner = outer.copy()
-                cands = []
+                ns = []
                 for v in candidates(outer):
                     inner[dv] = v
-                    if body(inner):
-                        cands.append(v)
-                ns = [v.n for v in cands if type(v) is core.Number]
-                if len(ns) < len(cands):
-                    bad.extend(v for v in cands if type(v) is not core.Number)
-                elif ns:
+                    if body(inner) and type(v) is core.Number:
+                        ns.append(v.n)
+                if ns:
                     scored.append((m, best_of(ns)))
-            # Raised once every member is scored, naming the least
-            # non-number, so that the error does not depend on set order.
-            if bad:
-                raise NonNumericDegree(min(bad, key=core.value_sort_key))
             best = best_of(d for _, d in scored) if scored else None
             winners = memo[k] = frozenset(m for m, d in scored if d == best)
             return winners

@@ -151,7 +151,7 @@ PUBLIC_NAMES = {
     "Aggregate", "BadObject", "BadSubject", "Entity", "EntityLit",
     "EquivalenceReport", "EvalError", "GenSchema", "IllTyped", "Intersect",
     "Join", "KbFormatError", "KnowledgeBase", "Lambda", "LdcsError",
-    "MalformedLine", "Mismatch", "Mu", "Negate", "NonNumericDegree", "Number",
+    "MalformedLine", "Mismatch", "Mu", "Negate", "Number",
     "ParseError", "Property", "ResolveError", "Reverse", "ShadowedVariable",
     "Superlative", "Triple", "UnbalancedDelimiter", "UnboundVariable", "Union",
     "UnknownProperty", "UnsupportedConstruct", "Var", "VariableInBinaryPosition",
@@ -167,7 +167,7 @@ PUBLIC_NAMES = {
 def test_public_names():
     import ldcs
 
-    assert len(ldcs.__all__) == len(PUBLIC_NAMES) == 62
+    assert len(ldcs.__all__) == len(PUBLIC_NAMES) == 61
     assert set(ldcs.__all__) == PUBLIC_NAMES
     for name in ldcs.__all__:
         assert getattr(ldcs, name) is not None

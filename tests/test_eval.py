@@ -4,11 +4,6 @@ Every expected set below was cross-checked against the brute-force
 enumeration semantics; the tests assert both engines to keep it that way.
 """
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,13 +11,11 @@ from ldcs import (
     Aggregate,
     Entity,
     EntityLit,
-    EvalError,
     Intersect,
     Join,
     Lambda,
     Mu,
     Negate,
-    NonNumericDegree,
     Number,
     Property,
     Reverse,
@@ -39,7 +32,6 @@ from ldcs import (
     parse_unary,
     resolve,
     to_lc_unary,
-    value_sort_key,
 )
 
 A, B, C, D, E = (Entity(n) for n in ["Alice", "Bob", "Carol", "Dave", "Eve"])
@@ -180,8 +172,8 @@ def test_degree_of(kb):
     assert degree_of(D, Property("Area"), kb) is None
     b = resolve(parse_unary("R[(lam x . count(R[Children].x))].Dave"), kb).binary
     assert degree_of(D, b, kb) == 2
-    with pytest.raises(NonNumericDegree):
-        degree_of(WA, Property("Border"), kb)
+    # Washington borders an entity and is related to no number.
+    assert degree_of(WA, Property("Border"), kb) is None
 
 
 def test_degree_collapse(kb):
@@ -206,9 +198,12 @@ def test_superlative_empty_when_no_degrees(kb):
 
 
 def test_binder_over_a_superlative_still_raises(kb):
-    # A body the membership test cannot decide keeps the set path and its error.
-    with pytest.raises(NonNumericDegree):
-        ev("(mu x . x | argmax(Type.USState, Border))", kb)
+    # A body the membership test cannot decide keeps the set path and its
+    # error. No state has a degree by Border, so x alone is left.
+    assert ev("(mu x . x | argmax(Type.USState, Border))", kb) == kb.entity_domain
+    u = Mu("x", Union(Var("x"), Superlative("argmax", Var("y"), Property("Area"))))
+    with pytest.raises(UnboundVariable, match="unbound variable: y$"):
+        eval_unary(u, kb)
 
 
 def test_intersection_with_a_complement_stays_in_the_domain(kb):
@@ -242,23 +237,18 @@ def _naive(u, kb, env):
     if isinstance(u, Superlative):
         return _naive_superlative(u, kb, env)
     assert isinstance(u, Mu)
-    return {x for x in _domain(kb) if x in _naive(u.body, kb, {**env, u.var: x})}
-
-
-def _domain(kb):
-    """The entities in value order: a binding whose body raises names the
-    least binding's error, whatever the set order."""
-    return sorted(kb.entity_domain, key=value_sort_key)
+    return {x for x in kb.entity_domain if x in _naive(u.body, kb, {**env, u.var: x})}
 
 
 def _naive_superlative(u, kb, env):
+    """A member's degree is the best number its degree relates it to; a
+    member related to no number has none."""
     pick = max if u.op == "argmax" else min
-    source = sorted(_naive(u.source, kb, env), key=value_sort_key)
-    related = {x: _naive_related(u.degree, {x}, kb, env, True) for x in source}
-    bad = {y for ys in related.values() for y in ys if not isinstance(y, Number)}
-    if bad:
-        raise NonNumericDegree(min(bad, key=value_sort_key))
-    degrees = {x: pick(y.n for y in ys) for x, ys in related.items() if ys}
+    degrees = {}
+    for x in _naive(u.source, kb, env):
+        ns = [y.n for y in _naive_related(u.degree, {x}, kb, env, True) if isinstance(y, Number)]
+        if ns:
+            degrees[x] = pick(ns)
     if not degrees:
         return set()
     best = pick(degrees.values())
@@ -270,14 +260,14 @@ def _naive_pairs(b, kb, env):
         return {(t.subject, t.object) for t in kb.triples if t.property == b.name}
     if isinstance(b, Reverse):
         return {(y, x) for x, y in _naive_pairs(b.inner, kb, env)}
-    return {(x, y) for y in _domain(kb) for x in _naive(b.body, kb, {**env, b.var: y})}
+    return {(x, y) for y in kb.entity_domain for x in _naive(b.body, kb, {**env, b.var: y})}
 
 
 def _naive_related(b, xs, kb, env, forward):
     """{y | (x, y) in b for some x in xs}, or {x | (x, y) in b for some y
     in xs} when not `forward`. A lam relates x to y when x is in its body
     with its variable bound to y, an entity; the body is evaluated at
-    those y alone that can relate to xs, in value order."""
+    those y alone that can relate to xs."""
     if isinstance(b, Reverse):
         return _naive_related(b.inner, xs, kb, env, not forward)
     if isinstance(b, Property):
@@ -288,16 +278,8 @@ def _naive_related(b, xs, kb, env, forward):
     def body(y):
         return _naive(b.body, kb, {**env, b.var: y})
     if forward:
-        return {y for y in _domain(kb) if body(y) & xs}
-    return set().union(*(body(y) for y in _domain(kb) if y in xs))
-
-
-def _outcome(f):
-    """f's set, or the type and text of the evaluation error it raises."""
-    try:
-        return frozenset(f())
-    except EvalError as exc:
-        return type(exc), str(exc)
+        return {y for y in kb.entity_domain if body(y) & xs}
+    return set().union(*(body(y) for y in kb.entity_domain if y in xs))
 
 
 def _unary(draw, depth, scope):
@@ -447,10 +429,9 @@ def test_a_memo_follows_the_bindings_it_reads(text, kb):
 @given(_binder_cases())
 def test_binders_match_the_set_definitions(case):
     # Bodies hold closed subterms under nested binders, and superlatives
-    # whose degrees may raise; an error must name what the definitions'
-    # least binding does.
+    # whose degrees may relate members to entities as well as numbers.
     kb, u = case
-    assert _outcome(lambda: eval_unary(u, kb)) == _outcome(lambda: _naive(u, kb, {}))
+    assert eval_unary(u, kb) == _naive(u, kb, {})
 
 
 @settings(max_examples=100, deadline=None)
@@ -458,45 +439,7 @@ def test_binders_match_the_set_definitions(case):
 def test_binaries_match_the_set_definitions(data):
     kb = _small_kb(data.draw)
     b = _binary(data.draw, 3, ())
-    assert _outcome(lambda: eval_binary(b, kb)) == _outcome(lambda: _naive_pairs(b, kb, {}))
-
-
-_LEAST_ERROR = """
-import sys
-from ldcs import Entity, LdcsError, eval_unary, load_kb_file, parse_unary, resolve
-# Entities made first shift the addresses, and so the set order, of the rest.
-padding = [Entity(f"pad{i}") for i in range(int(sys.argv[2]))]
-kb = load_kb_file(sys.argv[1])
-for text in sys.argv[3:]:
-    try:
-        eval_unary(resolve(parse_unary(text), kb, strict=True), kb)
-    except LdcsError as exc:
-        print(type(exc).__name__, exc)
-"""
-
-
-def test_a_raising_binder_reports_the_least_bindings_error():
-    # Each binding of x (of y) that is a class raises, naming the least of
-    # its members; the least such binding is City, whose least member is
-    # Portland, whatever the addresses of interned values. The last form
-    # binds y to each member of a superlative's source.
-    forms = [
-        "(mu x . x & argmin(x | 71 | Type.USState, R[Type]))",
-        "(mu x . x & argmax(x | Type.City, R[Type]))",
-        "R[(lam y . argmax(y | Type.USState, R[Type]))].Type.USState",
-        "argmax(City | USState, R[(lam y . argmax(y, R[Type]))])",
-    ]
-    root = pathlib.Path(__file__).resolve().parent.parent
-    fixture, src = root / "fixtures" / "demo.tsv", str(root / "src")
-    outputs = set()
-    for hash_seed, padding in [("1", "0"), ("2", "1"), ("3", "3"), ("4", "5")]:
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", _LEAST_ERROR, str(fixture), padding, *forms],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        outputs.add(proc.stdout)
-    assert outputs == {"NonNumericDegree degree produced a non-numeric value: Portland\n" * 4}
+    assert eval_binary(b, kb) == _naive_pairs(b, kb, {})
 
 
 # --- joins and superlatives against the set definitions ----------------------
@@ -570,24 +513,21 @@ def _plain_cases(draw):
 @given(_plain_cases())
 def test_joins_and_superlatives_match_the_set_definitions(case):
     kb, u = case
-    try:
-        expected = _naive(u, kb, {})
-    except NonNumericDegree as exc:
-        with pytest.raises(NonNumericDegree) as got:
-            eval_unary(u, kb)
-        assert got.value.value is exc.value
-    else:
-        assert eval_unary(u, kb) == expected
+    assert eval_unary(u, kb) == _naive(u, kb, {})
 
 
-# --- superlatives by a property, on the ordered path ---------------------------
-# A property's map here has at most ten keys, so every source of two or
-# more members is large next to it and the evaluator searches the KB's
-# degree order. "n" relates entities to numbers (some to several, with
-# ties and negatives), "p" to numbers and entities.
+# --- superlatives by a property, on the ordered path and the scan -------------
+# A property's map here has at most ten keys, so every source is large
+# next to it and the evaluator searches the KB's degree order. "n" relates
+# entities to numbers (some to several, with ties and negatives), "p" to
+# numbers and entities. A padded KB gives "n" and "p" eighty more keys, so
+# that no source is large next to them and the evaluator scans the source.
 
 _RANKED = [Entity(f"r{i}") for i in range(6)]
 _DEGREES = [Number(i) for i in (-3, -1, 0, 2)]
+_PADDING = [
+    Triple(Entity(f"pad{i}"), p, _DEGREES[i % 4]) for i in range(80) for p in ("n", "p")
+]
 
 
 @st.composite
@@ -600,10 +540,13 @@ def _ranked_cases(draw):
         ),
         min_size=1, max_size=14,
     ))
-    kb = from_triples(Triple(*fact) for fact in facts)
+    padded = draw(st.booleans())
+    kb = from_triples([*(Triple(*fact) for fact in facts), *(_PADDING if padded else ())])
     degree = Property(draw(st.sampled_from(["n", "n", "p"])))
-    for _ in range(draw(st.integers(0, 2))):  # R[p] relates keys to entities
+    reverses = draw(st.integers(0, 2))
+    for _ in range(reverses):  # R[p] relates keys to entities
         degree = Reverse(degree)
+    scanned = padded and reverses != 1
     # No degree for Number(1) or r6; numbers and entities mixed.
     values = draw(st.lists(st.sampled_from(_RANKED + _DEGREES + [Number(1), Entity("r6")]),
                            min_size=1, max_size=8, unique=True))
@@ -612,41 +555,31 @@ def _ranked_cases(draw):
         source = Union(source, EntityLit(v))
     op = draw(st.sampled_from(["argmax", "argmin"]))
     if draw(st.booleans()):
-        return kb, Mu("v0", Superlative(op, Union(Var("v0"), source), degree))
-    return kb, Superlative(op, source, degree)
+        return kb, Mu("v0", Superlative(op, Union(Var("v0"), source), degree)), scanned
+    return kb, Superlative(op, source, degree), scanned
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ranked_cases())
 def test_superlatives_by_a_property_match_the_set_definitions(case):
-    kb, u = case
-    try:
-        expected = _naive(u, kb, {})
-    except NonNumericDegree as exc:
-        with pytest.raises(NonNumericDegree) as got:
-            eval_unary(u, kb)
-        assert str(got.value) == str(exc)
-    else:
-        assert eval_unary(u, kb) == expected
-        if expected:  # a member with a numeric degree and none without
-            assert kb._derived
+    kb, u, scanned = case
+    expected = _naive(u, kb, {})
+    assert eval_unary(u, kb) == expected
+    if scanned:
+        assert not kb._derived
+    elif expected:  # the degree order answered
+        assert kb._derived
 
 
 @pytest.mark.parametrize("op", ["argmax", "argmin"])
-def test_a_key_related_to_a_number_and_an_entity_keeps_the_scan_error(op):
+def test_a_key_related_to_a_number_and_an_entity_is_ranked_by_the_number(op):
     r0, r1, r2 = _RANKED[:3]
     kb = from_triples([Triple(r0, "p", Number(2)), Triple(r0, "p", r1),
                        Triple(r1, "p", Number(5)), Triple(r2, "p", Number(7))])
-    ranked = Union(EntityLit(r1), EntityLit(r2))
-    assert eval_unary(Superlative(op, ranked, Property("p")), kb) == {
-        r2 if op == "argmax" else r1
-    }
+    u = Superlative(op, Union(EntityLit(r0), Union(EntityLit(r1), EntityLit(r2))), Property("p"))
+    assert eval_unary(u, kb) == {r2 if op == "argmax" else r0}
     assert kb._derived
-    # Whichever key of the source the evaluator meets first, r0 is no
-    # ranked key, and the scan raises.
-    u = Superlative(op, Union(EntityLit(r0), ranked), Property("p"))
-    with pytest.raises(NonNumericDegree, match="non-numeric value: r1$"):
-        eval_unary(u, kb)
+    assert degree_of(r0, Property("p"), kb, collapse=op[3:]) == 2
 
 
 @pytest.mark.parametrize("op", [" | ", " & "])

@@ -13,17 +13,19 @@ from ldcs import (
     Entity,
     GenSchema,
     IllTyped,
-    NonNumericDegree,
     Number,
     UnboundVariable,
     check_equivalence,
     dump_kb,
+    eval_unary,
     gen_term,
     lc_eval,
     load_kb,
     parse_lc,
     parse_unary,
     resolve,
+    simplify,
+    to_lc_unary,
 )
 from ldcs import core, lc, oracle
 
@@ -174,11 +176,37 @@ def test_lc_eval_superlative_ties(kb, text, expected):
     assert _names(lc_eval(parse_lc(text), kb)) == expected
 
 
-def test_lc_eval_non_numeric_degree_names_the_least_value(kb):
+def test_lc_eval_superlative_skips_non_number_degrees(kb):
+    # Every person's degree is a city, so no person has a degree.
     term = parse_lc("lambda x . in(x, argmax(lambda y . Type(y,Person), "
                     "lambda s . lambda d . PlaceOfBirth(s,d)))")
-    with pytest.raises(NonNumericDegree, match="non-numeric value: Portland$"):
-        lc_eval(term, kb)
+    assert lc_eval(term, kb) == frozenset()
+
+
+# "size" relates A to a number and an entity, B the same, C only to an
+# entity, and D to a number.
+_SIZES = "A\tsize\t3\nA\tsize\tB\nB\tsize\t7\nB\tsize\tC\nC\tsize\tD\nD\tsize\t5\n"
+
+
+@pytest.mark.parametrize("sizes, text, expected", [
+    (False, "argmax(Type.USState, Border)", set()),
+    (False, "Area.argmax(Alice, Influenced)", set()),
+    (False, "(mu x . x & argmin(x | 71 | Type.USState, R[Type]))", set()),
+    (False, "(lam v0 . argmax(Portland | v0, (lam v1 . v1))).Engineer", set()),
+    (False, "argmin(Type.City | Type.USState, R[(lam y . argmax(y, R[Type]))])", set()),
+    (True, "argmax(A | B | C, size)", {"B"}),
+    (True, "argmin(A | B | C, size)", {"A"}),
+    (True, "argmax(A | C | D, size)", {"D"}),
+])
+def test_superlatives_skip_non_numbers_in_every_semantics(kb, sizes, text, expected):
+    # A member's degree is its best number; one related to no number has
+    # none. Direct evaluation and both translations agree, and raise nothing.
+    world = load_kb(_SIZES) if sizes else kb
+    u = resolve(parse_unary(text), world, strict=True)
+    raw = to_lc_unary(u)
+    assert _names(eval_unary(u, world)) == expected
+    assert _names(lc_eval(raw, world)) == expected
+    assert _names(lc_eval(simplify(raw), world)) == expected
 
 
 _CITY = lc.Pred("Type", lc.Var("x"), lc.Const(Entity("City")))
@@ -319,10 +347,11 @@ def _exists_y(body):
 @pytest.mark.parametrize("term, error, message", [
     (parse_lc("lambda x . exists y . Children(x,y) & in(y, lambda z . [z = y])"),
      IllTyped, "not a superlative application: lambda z . [z = y]"),
-    # Dave's first child in value order is Alice, whom Dave influenced.
-    (parse_lc("lambda x . exists y . Children(x,y) & in(y, argmax(lambda z . [z = y], "
-              "lambda s . lambda d . Influenced(s,d)))"),
-     NonNumericDegree, "degree produced a non-numeric value: Dave"),
+    # A superlative reached through the witness raises its degree's error.
+    (_exists_y(lc.And(_CHILD, lc.In(_Y, lc.SupApp(
+        "argmax", lc.Lam("z", lc.Eq(lc.Var("z"), _Y)),
+        lc.Lam("s", lc.Lam("d", lc.Pred("Influenced", _Q, lc.Var("d")))))))),
+     UnboundVariable, "unbound variable: q"),
     (_exists_y(lc.And(_CHILD, lc.Pred("Type", _Q, lc.Const(Entity("City"))))),
      UnboundVariable, "unbound variable: q"),
     # An unbound end pins nothing: the first candidate raises.
@@ -404,6 +433,11 @@ _CITIES = "lambda y . Type(y,City)"
     (f"lambda x . in(x, argmax({_PERSONS}, "
      "lambda s . lambda d . [d = count(lambda c . Children(s,c))] || [d = 5]))",
      {"Alice", "Bob", "Carol", "Dave", "Eve"}),
+    # A degree loop pinned to entities alone gives no member a degree.
+    ("lambda x . exists y . Children(x,y) & in(y, argmax(lambda z . [z = y], "
+     "lambda s . lambda d . Influenced(s,d)))", set()),
+    ("lambda x . in(x, argmax(lambda y . [y = Alice], lambda s . lambda d . Children(d,s)))",
+     set()),
 ])
 def test_lc_eval_pinned_loops(kb, text, expected):
     assert _names(lc_eval(parse_lc(text), kb)) == expected
@@ -434,8 +468,6 @@ _D_NOT_A_SUPERLATIVE = parse_lc("lambda d . in(d, lambda z . [z = d])").body
      "expected a one-argument lambda term"),
     (_in_argmax(_CITIES, lc.And(_D_PLACE_COUNT, _D_NOT_A_SUPERLATIVE)), IllTyped,
      "not a superlative application: lambda z . [z = d]"),
-    (parse_lc("lambda x . in(x, argmax(lambda y . [y = Alice], lambda s . lambda d . Children(d,s)))"),
-     NonNumericDegree, "degree produced a non-numeric value: Dave"),
 ])
 def test_lc_eval_pinned_loops_raise_the_first_error(kb, term, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
