@@ -4,7 +4,7 @@ One triple per line: subject, property, object separated by single tabs.
 Objects may be integer literals; subjects may not. Empty lines and lines
 starting with '#' are skipped. Duplicate triples collapse. Names must be
 ones a query can write: no '.' (the join operator) and no keyword of
-either grammar.
+either grammar. A KB's value is its per-property index.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import io
 import re
 from collections import namedtuple
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import attrgetter
 from types import MappingProxyType
@@ -53,34 +54,39 @@ _NO_PAIRS = MappingProxyType({})
 
 
 class KnowledgeBase(Frozen):
-    """An immutable triple set with lookup indexes over both directions.
+    """An immutable triple set, held as lookup indexes over both directions.
 
     `forward[p][s]` is the set of objects o with (s, p, o) in the KB and
     `backward[p][o]` the set of subjects; every set in them is non-empty.
-    Two KBs are equal when all five fields are; the indexes are left out
-    of the repr. A private memo of facts derived from the KB (`derived`)
-    is filled on first use; it is no part of the KB's value.
+    `forward` determines the rest, so KBs are equal when it is; the indexes
+    are left out of the repr. `triples` and a private memo of derived facts
+    (`derived`) are built on first use; the memo is no part of the value.
     """
 
     def __init__(
         self,
-        triples: frozenset[Triple],
         forward: dict[str, dict[Value, frozenset[Value]]],
         backward: dict[str, dict[Value, frozenset[Value]]],
         entity_domain: frozenset[Value],
         property_set: frozenset[str],
     ):
         set_ = object.__setattr__
-        set_(self, "triples", triples)
         set_(self, "forward", forward)
         set_(self, "backward", backward)
         set_(self, "entity_domain", entity_domain)
         set_(self, "property_set", property_set)
         set_(self, "_derived", {})
 
+    @cached_property  # it writes the instance dict directly, as `Frozen` allows
+    def triples(self) -> frozenset[Triple]:
+        """One `Triple` for each pair in `forward`, built on first use."""
+        with _collector_paused():
+            return frozenset(tuple.__new__(Triple, (s, p, o)) for p, pairs in self.forward.items()
+                             for s, os in pairs.items() for o in os)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return _kb_fields(self) == _kb_fields(other)
+            return self.forward == other.forward
         return NotImplemented
 
     def __repr__(self):
@@ -98,7 +104,7 @@ class KnowledgeBase(Frozen):
         return self.backward.get(prop, _NO_PAIRS).get(obj, _NO_VALUES)
 
     def __len__(self):
-        return len(self.triples)
+        return sum(map(len, chain.from_iterable(map(dict.values, self.forward.values()))))
 
     def derived(self, build, *args):
         """`build(self, *args)`, built once per KB and arguments, on first
@@ -124,7 +130,6 @@ class KnowledgeBase(Frozen):
         return self.derived(_rank, prop, forward, collapse)
 
 
-_kb_fields = attrgetter("triples", "forward", "backward", "entity_domain", "property_set")
 _number = attrgetter("n")
 
 
@@ -155,9 +160,9 @@ def _rank(kb: KnowledgeBase, prop: str, forward: bool, collapse: str):
 def _collector_paused():
     """Pause the cyclic garbage collector, then restore its prior state.
 
-    A load builds a few tracked objects per triple (the triple, its index
-    sets and dicts), and the collector would otherwise rescan the ones
-    already built again and again while the rest are being built.
+    A load builds tracked objects per triple (index sets and dicts, and
+    `Triple`s when `triples` is read), and the collector would otherwise
+    rescan the ones already built again and again while the rest are built.
     """
     was = gc.isenabled()
     gc.disable()
@@ -170,18 +175,21 @@ def _collector_paused():
 
 def from_triples(triples) -> KnowledgeBase:
     """A KB of `Triple`s, or of (subject, property, object) tuples whose
-    subjects are entities."""
+    subjects are entities; a repeated triple counts once."""
     with _collector_paused():
-        tset = frozenset(triples)
-        by_property: dict[str, list] = {}
-        for t in tset:
-            by_property.setdefault(t[1], []).append(t)
-        forward = {p: _group((s, o) for s, _, o in ts) for p, ts in by_property.items()}
-        backward = {p: _group((o, s) for s, _, o in ts) for p, ts in by_property.items()}
-        domain = set().union(*forward.values())
-        domain.update(o for objs in backward.values() for o in objs if isinstance(o, Entity))
+        columns: dict[str, tuple[list, list]] = {}
+        for s, p, o in triples:
+            ss, os = columns.get(p) or columns.setdefault(p, ([], []))
+            ss.append(s)
+            os.append(o)
+        forward = {p: _group(zip(ss, os)) for p, (ss, os) in columns.items()}
+        domain = set().union(*forward.values())  # the subjects
+        if not all(map(isinstance, domain, repeat(Entity))):
+            raise ValueError("triple subjects must be entities")
+        backward = {p: _group(zip(os, ss)) for p, (ss, os) in columns.items()}
+        objects = set().union(*backward.values())
+        domain.update(compress(objects, map(isinstance, objects, repeat(Entity))))
         return KnowledgeBase(
-            triples=tset,
             forward=forward,
             backward=backward,
             entity_domain=frozenset(domain),
@@ -247,16 +255,16 @@ def _name_problem(token: str, malformed: str = "not an identifier"):
 def load_kb(source) -> KnowledgeBase:
     """Load a knowledge base from a string or a readable text stream.
 
-    Each distinct token is checked once, at its first line; the triples
-    are then built from checked values without checking them again.
+    A string's lines end as `load_kb_file`'s do. Each distinct token is
+    checked once, at its first line, and no `Triple` is made.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline=None)
     with _collector_paused():
         subjects: dict[str, Entity] = {}
         props: dict[str, str] = {}
         objects: dict[str, Value] = {}
-        triples = []
+        subject_column, property_column, object_column = [], [], []
         for line_number, raw in enumerate(source, start=1):
             line = raw.rstrip("\r\n")
             stripped = line.lstrip()
@@ -277,8 +285,10 @@ def load_kb(source) -> KnowledgeBase:
             o = objects.get(obj_tok)
             if o is None:
                 o = objects[obj_tok] = _parse_object(obj_tok, line_number)
-            triples.append(tuple.__new__(Triple, (s, p, o)))
-        return from_triples(triples)
+            subject_column.append(s)
+            property_column.append(p)
+            object_column.append(o)
+        return from_triples(zip(subject_column, property_column, object_column))
 
 
 def load_kb_file(path) -> KnowledgeBase:
@@ -296,7 +306,7 @@ def load_kb_file(path) -> KnowledgeBase:
         line_number = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         message = f"not valid UTF-8 (byte 0x{data[exc.start]:02x})"
         raise KbFormatError(line_number, message) from None
-    return load_kb(io.StringIO(text, newline=None))
+    return load_kb(text)
 
 
 def dump_kb(kb: KnowledgeBase) -> str:

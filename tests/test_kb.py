@@ -3,8 +3,10 @@
 import gc
 import io
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldcs import (
     BadObject,
@@ -72,6 +74,29 @@ def test_file_lines_end_as_in_text_mode(tmp_path):
     assert kb.objects_of("P", Entity("A")) == {Entity("B"), Entity("C"), Number(3)}
 
 
+@pytest.mark.parametrize("data", [
+    b"A\tP\tB\rA\tP\tC\n",
+    b"A\tP\tB\r\nA\tP\tC\rA\tP\t3",
+    b"# c\r\rA\tP\tB\r\n\r\nB\tQ\t-4\r",
+], ids=["lone-cr", "mixed", "blank-and-comment"])
+def test_string_lines_end_as_file_lines(tmp_path, data):
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(data)
+    kb = load_kb(data.decode())
+    assert kb == load_kb_file(path) and kb.triples == load_kb_file(path).triples
+    assert len(kb) == data.count(b"\t") // 2
+
+
+def test_string_and_file_fail_at_the_same_line(tmp_path):
+    data = b"A\tP\tB\rA\tP\tC\r\nA\tP\n"
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(data)
+    for load, source in ((load_kb, data.decode()), (load_kb_file, path)):
+        with pytest.raises(MalformedLine) as exc:
+            load(source)
+        assert exc.value.line_number == 3 and "got 2" in str(exc.value)
+
+
 def test_load_from_string():
     kb = load_kb("A\tP\tB\n")
     assert len(kb) == 1
@@ -111,6 +136,13 @@ def test_triple_subject_must_be_entity():
         Triple(Number(1), "P", Entity("B"))
     with pytest.raises(ValueError):
         Triple(Entity("A"), "P", Entity("B"))._replace(subject=Number(1))
+
+
+def test_from_triples_refuses_a_number_as_subject():
+    # A number among the subjects would enter the entity domain, which `!`
+    # and every binder range over.
+    with pytest.raises(ValueError, match="triple subjects must be entities"):
+        from_triples([(Number(1), "p", Entity("a")), (Entity("b"), "p", Entity("a"))])
 
 
 def test_triple_is_an_immutable_tuple():
@@ -344,3 +376,103 @@ def test_load_leaves_a_paused_collector_paused(collector):
     assert not gc.isenabled()
     from_triples([Triple(Entity("A"), "P", Entity("B"))])
     assert not gc.isenabled()
+
+
+# --- the triple set is built from the index on first use -----------------------
+
+def _synthetic_text(n_entities, seed):
+    """A KB text in which every entity has a type, an area and two links."""
+    rng = random.Random(seed)
+    names = [f"E{i}" for i in range(n_entities)]
+    lines = []
+    for name in names:
+        lines.append(f"{name}\tType\t{rng.choice(['City', 'Person', 'USState'])}\n")
+        lines.append(f"{name}\tArea\t{rng.randrange(-50, 1000)}\n")
+        lines.append(f"{name}\tLink\t{rng.choice(names)}\n")
+        lines.append(f"{name}\tNear\t{rng.choice(names)}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("text,queries", [
+    (None, ["Type.City", "R[Border].Type.USState", "Children.Influenced.Type.Person",
+            "argmax(Type.USState, Area)", "(mu x . Border.Border.x)", "!Type.Person"]),
+    (_synthetic_text(2000, 1), ["Link.Type.City", "R[Near].Link.Type.USState",
+                                "argmax(Type.City, Area)", "(mu x . R[Link].Link.x & Type.City)",
+                                "count(!Type.City)"]),
+], ids=["fixture", "synthetic"])
+def test_loading_and_querying_build_no_triple_set(kb, text, queries):
+    text = dump_kb(kb) if text is None else text
+    fresh, again = load_kb(text), load_kb(io.StringIO(text))
+    answers = [_superlative(query, fresh) for query in queries]
+    assert fresh == again and len(fresh) == len(again) and fresh.derived(len) == len(fresh)
+    assert "triples" not in vars(fresh) and "triples" not in vars(again)
+    assert all(answers)
+    built = fresh.triples
+    assert built is fresh.triples and vars(fresh)["triples"] is built
+    assert len(built) == len(fresh) and built == again.triples
+    with pytest.raises(AttributeError):
+        fresh.triples = frozenset()
+    with pytest.raises(AttributeError):
+        del fresh.triples
+    assert fresh.triples is built
+
+
+def test_shuffled_lines_load_an_equal_kb_and_a_dropped_line_an_unequal_one(kb):
+    rng = random.Random(3)
+    for text in (dump_kb(kb), _synthetic_text(300, 2)):
+        lines = text.splitlines(keepends=True)
+        base = load_kb(text)
+        for _ in range(3):
+            rng.shuffle(lines)
+            assert load_kb("".join(lines)) == base
+        dropped = load_kb("".join(lines[1:]))
+        assert dropped != base and base != dropped
+        assert len(dropped) == len(base) - 1
+
+
+_NAMES = ["A", "B", "c_1", "fb:x", "Lam"]
+_PROPS = ["P", "q", "Area"]
+_OBJECTS = st.one_of(st.sampled_from(_NAMES), st.integers(-12, 12).map(str),
+                     st.sampled_from(["-0", "007", str(-2**63), str(2**63 - 1)]))
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_NAMES), st.sampled_from(_PROPS), _OBJECTS).map("\t".join),
+    st.sampled_from(["", "   ", "# a comment", "#A\tP\tB"]),
+)
+
+
+@st.composite
+def _kb_texts(draw):
+    lines = draw(st.lists(_LINES, max_size=30))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=5)) if lines else []  # repeats
+    draw(st.randoms()).shuffle(lines)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends))
+
+
+def _naive_parse(text):
+    """The set of (subject, property, object) facts of a KB text."""
+    facts = set()
+    for line in text.replace("\r\n", "\n").split("\n"):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        s, p, o = line.split("\t")
+        facts.add((Entity(s), p, Number(int(o)) if re.fullmatch(r"-?[0-9]+", o) else Entity(o)))
+    return facts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kb_texts())
+def test_a_loaded_kb_matches_a_naive_parse(text):
+    facts = _naive_parse(text)
+    kb = load_kb(text)
+    assert len(kb) == len(facts)
+    values = {x for s, _, o in facts for x in (s, o)}
+    for p in _PROPS + ["unknown"]:
+        for v in values | {Entity("unseen"), Number(0)}:
+            assert kb.objects_of(p, v) == {o for s, q, o in facts if q == p and s == v}
+            assert kb.subjects_of(p, v) == {s for s, q, o in facts if q == p and o == v}
+    assert kb.entity_domain == {x for x in values if isinstance(x, Entity)}
+    assert kb.property_set == {p for _, p, _ in facts}
+    assert "triples" not in vars(kb)
+    assert kb.triples == facts
