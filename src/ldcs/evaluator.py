@@ -29,9 +29,9 @@ each binding.
 A superlative's member has the largest (for argmin, the smallest) number
 its degree relates it to as its degree; a member related to no number has
 none and drops out. So a superlative never raises, and the one error left
-is `UnboundVariable`, which no parsed form reaches: a tree built through
-the API with two different unbound names under one binder may report
-either one.
+is `UnboundVariable`, which no parsed form reaches. The compile walk raises
+it for the leftmost unbound variable of the printed form, whatever the KB,
+and a compiled closure never raises.
 """
 
 from __future__ import annotations
@@ -107,9 +107,10 @@ def degree_of(x, b, kb: KnowledgeBase, env=_NO_BINDINGS, collapse: str = "max"):
 # memos under a binder read (outside every binder it returns none). Each
 # node is compiled knowing `scope`, the names env binds when the closure
 # runs, and `binders`, those of them that the binders it is under bind. An
-# unbound variable compiles to a closure that raises `UnboundVariable` when
-# it is reached, and only then. A left-nested `&` or `|` chain takes one
-# frame per operand, both in the walk and when its closures run.
+# unbound variable raises `UnboundVariable` in the walk, which compiles the
+# children of a node in the order of its printed text. A left-nested `&` or
+# `|` chain takes one frame per operand, both in the walk and when its
+# closures run.
 
 
 def _unary(u, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
@@ -118,12 +119,12 @@ def _unary(u, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
     if kind is Join:
         pairs = _pairs(u.binary, kb, False)
         if pairs is None:
-            inner, inner_free = _unary(u.unary, kb, scope, binders)
             join, join_free = _binary(u.binary, kb, scope, binders, False)
+            inner, inner_free = _unary(u.unary, kb, scope, binders)
             free = _NO_NAMES
             if binders:
                 free = inner_free | join_free
-                inner = _memo(inner, inner_free, free, scope, binders)
+                inner = _memo(inner, inner_free, free, binders)
             return (lambda env: join(env, inner(env))), free
         if type(u.unary) is EntityLit:
             joined = pairs.get(u.unary.value, _EMPTY)
@@ -146,8 +147,8 @@ def _unary(u, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
         free = _NO_NAMES
         if binders:  # outside every binder, free variables are never read
             free = left_free | right_free
-            left = _memo(left, left_free, free, scope, binders)
-            right = _memo(right, right_free, free, scope, binders)
+            left = _memo(left, left_free, free, binders)
+            right = _memo(right, right_free, free, binders)
         if kind is Union:
             return (lambda env: left(env) | right(env)), free
         if negated is None:
@@ -164,10 +165,7 @@ def _unary(u, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
     if kind is Var:
         name = u.name
         if name not in scope:
-            def unbound(env):
-                raise UnboundVariable(name)
-
-            return unbound, frozenset((name,))
+            raise UnboundVariable(name)
         return (lambda env: frozenset((env[name],))), frozenset((name,))
     if kind is Negate:
         inner, free = _unary(u.inner, kb, scope, binders)
@@ -190,7 +188,7 @@ def _body(binder, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
     var = frozenset((binder.var,))
     scope, binders = scope | var, binders | var
     body, free = _unary(binder.body, kb, scope, binders)
-    return _memo(body, free, var, scope, binders), free - var
+    return _memo(body, free, var, binders), free - var
 
 
 def _mu(u: Mu, kb: KnowledgeBase, scope: frozenset, binders: frozenset):
@@ -253,11 +251,11 @@ def _superlative(u: Superlative, kb: KnowledgeBase, scope: frozenset, binders: f
         join, degree_free = _binary(u.degree, kb, scope, binders, True)
         if binders:
             free = source_free | degree_free
-        related_to = _memo_member(join, degree_free, free, scope, binders)
+        related_to = _memo_member(join, degree_free, free, binders)
     else:
         pairs = _map(kb, *prop)
     if binders:
-        source = _memo(source, source_free, free, scope, binders)
+        source = _memo(source, source_free, free, binders)
 
     def superlative(env):
         xs = source(env)
@@ -276,14 +274,14 @@ def _superlative(u: Superlative, kb: KnowledgeBase, scope: frozenset, binders: f
     return superlative, free
 
 
-def _memo(fn, free: frozenset, mentions: frozenset, scope: frozenset, binders: frozenset):
+def _memo(fn, free: frozenset, mentions: frozenset, binders: frozenset):
     """fn, the closure of a node with these free variables whose parent
     mentions the names `mentions`; memoised, when one of `binders` is
     among those and not among its own, by the values of its free variables
-    (once, if it has none that scope binds). A raising call stores nothing."""
+    (once, if it has none)."""
     if (binders & mentions) <= free:
         return fn
-    names = tuple(free & scope)
+    names = tuple(free)
     if not names:
         done = []
 
@@ -305,12 +303,12 @@ def _memo(fn, free: frozenset, mentions: frozenset, scope: frozenset, binders: f
     return memoised
 
 
-def _memo_member(join, free: frozenset, mentions: frozenset, scope: frozenset, binders: frozenset):
+def _memo_member(join, free: frozenset, mentions: frozenset, binders: frozenset):
     """(env, x) -> the values a degree's join relates x to, memoised by x
     and the values of its free variables by the rule of `_memo`."""
     if (binders & mentions) <= free:
         return lambda env, x: join(env, frozenset((x,)))
-    names = tuple(free & scope)
+    names = tuple(free)
     key, memo = (itemgetter(*names) if names else (lambda env: ())), {}
 
     def related_to(env, x):

@@ -104,42 +104,38 @@ class In(LCTerm):
     set_expr: LCTerm
 
 
-def _is_element(t: LCTerm) -> bool:
-    # Element-level terms denote a single value. count(...) counts as one
-    # because it denotes a number, which makes [x = count(...)] expressible.
-    return isinstance(t, (Var, Const)) or (
-        isinstance(t, CountApp) and well_formed(t)
-    )
-
-
-def _lam_arity(t: LCTerm, n: int) -> bool:
-    for _ in range(n):
-        if not isinstance(t, Lam):
-            return False
-        t = t.body
-    return not isinstance(t, Lam)
-
-
 def well_formed(t: LCTerm) -> bool:
-    """Structural sanity: element positions hold elements, set positions lambdas."""
-    if isinstance(t, (Var, Const)):
-        return True
-    if isinstance(t, Pred):
-        return isinstance(t.arg1, (Var, Const)) and isinstance(t.arg2, (Var, Const))
-    if isinstance(t, Eq):
-        return _is_element(t.left) and _is_element(t.right)
-    if isinstance(t, CountApp):
-        return _lam_arity(t.set_term, 1) and well_formed(t.set_term)
-    if isinstance(t, SupApp):
-        return (
-            _lam_arity(t.set_term, 1)
-            and _lam_arity(t.degree_term, 2)
-            and well_formed(t.set_term)
-            and well_formed(t.degree_term)
-        )
-    if isinstance(t, In):
-        return _is_element(t.element) and well_formed(t.set_expr)
-    return isinstance(t, (And, Or, Not, Exists, Lam)) and all(map(well_formed, t.children()))
+    """Whether t is a term `oracle.lc_eval` evaluates without IllTyped: a
+    one- or two-argument lambda of a formula. A predicate or an equation
+    relates element terms (a variable, a constant, or a count of a
+    one-argument lambda of a formula), and `in` tests an element against a
+    superlative application of such a lambda by a two-argument lambda of a
+    formula."""
+    if type(t) is Lam and type(t.body) is Lam:
+        t = t.body
+    return _is_set(t)
+
+
+def _is_set(t: LCTerm) -> bool:
+    return type(t) is Lam and _is_formula(t.body)
+
+
+def _is_formula(t: LCTerm) -> bool:
+    kind = type(t)
+    if kind is Pred or kind is Eq:
+        return all(map(_is_element, t.children()))
+    if kind is And or kind is Or or kind is Not or kind is Exists:
+        return all(map(_is_formula, t.children()))
+    if kind is In:
+        s = t.set_expr
+        return (_is_element(t.element) and type(s) is SupApp and _is_set(s.set_term)
+                and type(s.degree_term) is Lam and _is_set(s.degree_term.body))
+    return False
+
+
+def _is_element(t: LCTerm) -> bool:
+    kind = type(t)
+    return kind is Var or kind is Const or (kind is CountApp and _is_set(t.set_term))
 
 
 def alpha_eq(a: LCTerm, b: LCTerm) -> bool:

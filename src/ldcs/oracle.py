@@ -2,10 +2,11 @@
 generator and an agreement checker.
 
 `lc_eval` evaluates a translated term by exhaustive enumeration over finite
-domains, with no reference to the direct evaluator: it reads only
-`kb.triples` and `kb.entity_domain`, and a predicate is a membership test in
-`kb.triples`. It compiles the term once per call, in one walk, into
-closures of the environment and runs those.
+domains, with no reference to the direct evaluator: it reads only the KB's
+index (`kb.forward` and `kb.backward`) and `kb.entity_domain`, and a
+predicate is a membership test in `kb.forward`. It compiles the term once
+per call, in one walk that is also its type check, into closures of the
+environment and runs those.
 `check_equivalence` generates random forms, runs both semantics, and
 reports any disagreement.
 """
@@ -40,7 +41,9 @@ def lc_eval(term: lc.Lam, kb: KnowledgeBase) -> frozenset:
     A one-argument term yields a set of values, a two-argument term a set
     of pairs. The domain is the KB's entities plus every constant mentioned
     in the term, widened where a position can hold a number (aggregate
-    results, degree values).
+    results, degree values). Raises IllTyped or UnboundVariable for the
+    leftmost ill-typed or unbound subterm of the printed term, whatever
+    the KB, before anything is evaluated.
     """
     if not isinstance(term, lc.Lam):
         raise IllTyped("only lambda terms denote sets")
@@ -55,10 +58,12 @@ class _OracleEval:
     dict from variable names to values: a formula becomes `env -> bool`,
     an element term `env -> value`, and a one-argument lambda or a
     superlative application `env -> frozenset`.
-    Each node is compiled knowing the names its enclosing binders bind,
-    so a variable reads the environment directly. An unbound variable or
-    an ill-typed subterm compiles to a closure that raises
-    `UnboundVariable` or `IllTyped` when it is reached, and only then.
+    The walk is the term's type check. Each node is compiled knowing the
+    names its enclosing binders bind, so a variable reads the environment
+    directly, and an unbound variable or an ill-typed subterm raises
+    `UnboundVariable` or `IllTyped` while compiling. Children are compiled
+    in the order of the printed text, so the error names the leftmost bad
+    subterm whatever the KB, and a compiled closure never raises.
     Each compile step also returns the node's free variables and its
     count subterms, as triples of free variables, closure and node, in
     `core.subterms` order. The domains widened with the term's constants
@@ -67,21 +72,20 @@ class _OracleEval:
 
     Every loop over candidates copies the environment once and sets its
     variable in place, and tries the candidates in `value_sort_key`
-    order: an existential stops at its first witness, and the first
-    candidate that reaches an error raises it, so neither the work nor the
-    error depends on set order. A loop whose leftmost conjunct pins its
+    order: an existential stops at its first witness, so its work does
+    not depend on set order. A loop whose leftmost conjunct pins its
     variable (an existential's, a one-argument lambda's, or a
     superlative's degree loop) tries only the candidates that satisfy it
     (`_witnesses`). Existentials, one-argument lambdas and superlative
     applications are memoized per binding of their free variables: a
-    memo key is the values of those the node's scope binds, and a memo
-    belongs to a node (by identity, stable while the term is alive) and
-    that set of names.
+    memo key is the values of those variables, and a memo belongs to a
+    node (by identity, stable while the term is alive) and that set of
+    names.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb, self.facts = kb, kb.derived(_KbFacts.build)
-        self.triples, self.related = kb.triples, self.facts.related
+        self.related = self.facts.related
         self._constants: set = set()
         self._memos: dict = {}
 
@@ -99,27 +103,11 @@ class _OracleEval:
         self.rich_candidates = _sorted_in(facts.rich_candidates, constants - facts.rich)
         return run
 
-    def _memo(self, t, names: frozenset, scope: frozenset):
-        """The key function and the memo in scope of node t, free in names."""
-        names = tuple(sorted(names & scope))
+    def _memo(self, t, names: frozenset):
+        """The key function and the memo of node t, free in names."""
+        names = tuple(sorted(names))
         key = itemgetter(*names) if names else (lambda env: ())
         return key, self._memos.setdefault((id(t), names), {})
-
-    def _ill_typed(self, t, scope: frozenset, message: str, shown=None):
-        """A closure that raises IllTyped(message), followed by the text of
-        shown when given, with the free variables and count subterms of t:
-        t widens domains as if it were well typed, its constants included."""
-        if type(t) in (lc.Var, lc.Const, lc.CountApp):
-            _, names, counts = self.element(t, scope)
-        else:
-            inner = scope | {t.var} if t.binds else scope
-            names, counts = _NO_NAMES, ()
-            for kid in t.children():
-                _, kid_names, kid_counts = self._ill_typed(kid, inner, message)
-                names, counts = names | kid_names, kid_counts + counts
-            if t.binds:
-                names = names - {t.var}
-        return _fails(IllTyped, message, shown), names, counts
 
     # -- formulas ------------------------------------------------------------
 
@@ -147,26 +135,26 @@ class _OracleEval:
             winners, set_names, set_counts = self.sup_set(t.set_expr, scope)
             names, counts = element_names | set_names, set_counts + element_counts
             return (lambda env: element(env) in winners(env)), names, counts
-        return self._ill_typed(t, scope, "not a formula: ", t)
+        raise IllTyped(f"not a formula: {lc.format_lc(t)}")
 
     def _pred(self, t: lc.Pred, scope):
-        # A triple's subject is always an entity (`kb.Triple`), so a number
-        # subject finds no triple.
-        prop, triples = t.property, self.triples
+        # p's objects of each subject in the index; a value that is no
+        # subject of p, a number among them, relates to nothing.
+        objects = self.kb.forward.get(t.property, {})
         s, o = _bound_name(t.arg1, scope), _bound_name(t.arg2, scope)
         if s and o:
-            return (lambda env: (env[s], prop, env[o]) in triples), frozenset((s, o)), ()
+            return (lambda env: env[o] in objects.get(env[s], _NO_NAMES)), frozenset((s, o)), ()
         if s and type(t.arg2) is lc.Const:
             value = t.arg2.value
             self._constants.add(value)
-            return (lambda env: (env[s], prop, value) in triples), frozenset((s,)), ()
+            return (lambda env: value in objects.get(env[s], _NO_NAMES)), frozenset((s,)), ()
         subject, subject_names, subject_counts = self.element(t.arg1, scope)
         obj, obj_names, obj_counts = self.element(t.arg2, scope)
         names, counts = subject_names | obj_names, obj_counts + subject_counts
         if o and type(t.arg1) is lc.Const:
-            value = t.arg1.value
-            return (lambda env: (value, prop, env[o]) in triples), names, counts
-        return (lambda env: (subject(env), prop, obj(env)) in triples), names, counts
+            related = objects.get(t.arg1.value, _NO_NAMES)
+            return (lambda env: env[o] in related), names, counts
+        return (lambda env: obj(env) in objects.get(subject(env), _NO_NAMES)), names, counts
 
     def _eq(self, t: lc.Eq, scope):
         a, b = _bound_name(t.left, scope), _bound_name(t.right, scope)
@@ -186,7 +174,7 @@ class _OracleEval:
         body, names, counts = self.formula(t.body, scope | {var})
         names = names - {var}
         candidates = self._witnesses(var, t.body, scope)
-        key, memo = self._memo(t, names, scope)
+        key, memo = self._memo(t, names)
 
         def exists(env):
             k = key(env)
@@ -215,12 +203,9 @@ class _OracleEval:
         `[c = var]` with c one of them whose free variables scope binds.
         The members tried are then t's value, its objects or subjects
         under p, or c's value. Every other candidate fails the conjunct,
-        and `&` stops there, before anything that could raise; so the
-        result, the memos and the errors are those of trying every
-        candidate. The counts that widen the domain still run first, so
-        that their errors come first, and the whole body still runs on
-        each candidate, so a predicate's witness is confirmed in
-        `kb.triples`."""
+        and `&` stops there; so the result and the memos are those of
+        trying every candidate. The whole body still runs on each
+        candidate, so a predicate's witness is confirmed in the index."""
         first = body
         while type(first) is lc.And:
             first = first.left
@@ -253,12 +238,6 @@ class _OracleEval:
             lists, outside = self.related.get((first.property, at[1]), _NO_RELATED)
             # Every subject is an entity, and every object is in `rich`.
             if rich or not outside:
-                if extra is not None:
-                    def listed(env):
-                        extra(env)  # first, so that a count's error comes first
-                        return lists.get(value_of(env), ())
-
-                    return listed
                 if kind is lc.Const:
                     found = lists.get(value, ())
                     return lambda env: found
@@ -287,8 +266,9 @@ class _OracleEval:
         kind = type(t)
         if kind is lc.Var:
             name = t.name
-            fn = itemgetter(name) if name in scope else _fails(UnboundVariable, name)
-            return fn, frozenset((name,)), ()
+            if name not in scope:
+                raise UnboundVariable(name)
+            return itemgetter(name), frozenset((name,)), ()
         if kind is lc.Const:
             value = t.value
             self._constants.add(value)
@@ -300,19 +280,19 @@ class _OracleEval:
                 return core.Number(len(members(env)))
 
             return count, names, ((names, count, t),) + counts
-        return self._ill_typed(t, scope, "not an element term: ", t)
+        raise IllTyped(f"not an element term: {lc.format_lc(t)}")
 
     # -- sets ------------------------------------------------------------------
 
     def value_set(self, term, scope: frozenset):
         """(env -> a one-argument lambda term's set, free variables, count subterms)."""
         if not (type(term) is lc.Lam and type(term.body) in _FORMULAS):
-            return self._ill_typed(term, scope, "expected a one-argument lambda term")
+            raise IllTyped("expected a one-argument lambda term")
         var = term.var
         body, names, counts = self.formula(term.body, scope | {var})
         names = names - {var}
         candidates = self._witnesses(var, term.body, scope, counts)
-        key, memo = self._memo(term, names, scope)
+        key, memo = self._memo(term, names)
 
         def value_set(env):
             k = key(env)
@@ -359,24 +339,17 @@ class _OracleEval:
     def sup_set(self, t, scope: frozenset):
         """(env -> a superlative application's winners, free variables, count subterms)."""
         if type(t) is not lc.SupApp:
-            return self._ill_typed(t, scope, "not a superlative application: ", t)
+            raise IllTyped(f"not a superlative application: {lc.format_lc(t)}")
         members_of, names, counts = self.value_set(t.set_term, scope)
         deg = t.degree_term
         if not (type(deg) is lc.Lam and type(deg.body) is lc.Lam):
-            fail, deg_names, deg_counts = self._ill_typed(
-                deg, scope, "degree of a superlative must take two arguments")
-
-            def ill_typed(env):
-                members_of(env)  # the set's errors come first
-                fail(env)
-
-            return ill_typed, names | deg_names, deg_counts + counts
+            raise IllTyped("degree of a superlative must take two arguments")
         sv, dv, body_t = deg.var, deg.body.var, deg.body.body
         body, body_names, body_counts = self.formula(body_t, scope | {sv, dv})
         names = names | (body_names - {sv, dv})
         candidates = self._witnesses(dv, body_t, scope | {sv}, body_counts, rich=True)
         best_of = max if t.op == "argmax" else min
-        key, memo = self._memo(t, names, scope)
+        key, memo = self._memo(t, names)
 
         def sup_set(env):
             k = key(env)
@@ -385,7 +358,7 @@ class _OracleEval:
                 return winners
             scored = []
             outer = env.copy()
-            for m in sorted(members_of(env), key=core.value_sort_key):
+            for m in members_of(env):
                 outer[sv] = m
                 inner = outer.copy()
                 ns = []
@@ -431,8 +404,8 @@ _NO_RELATED = ({}, frozenset())
 
 
 class _KbFacts(NamedTuple):
-    """What `lc_eval` reads of a KB whatever the term, built from
-    `kb.triples` and `kb.entity_domain` once per KB (`build`, through
+    """What `lc_eval` reads of a KB whatever the term, built from its
+    index and `kb.entity_domain` once per KB (`build`, through
     `KnowledgeBase.derived`): the entity domain in `value_sort_key` order;
     `rich`, the entity domain and every object, and the same in that
     order; and `related[p, forward]`, a pair of a map from each subject
@@ -447,18 +420,14 @@ class _KbFacts(NamedTuple):
 
     @staticmethod
     def build(kb: KnowledgeBase) -> "_KbFacts":
-        groups: dict = {}
-        for s, p, o in kb.triples:
-            groups.setdefault((p, True), {}).setdefault(s, []).append(o)
-            groups.setdefault((p, False), {}).setdefault(o, []).append(s)
-        domain = kb.entity_domain
-        related = {}
-        for key, lists in groups.items():
-            related[key] = (
-                {k: tuple(sorted(vs, key=core.value_sort_key)) for k, vs in lists.items()},
-                frozenset(v for vs in lists.values() for v in vs if v not in domain),
-            )
-        rich = domain.union(o for _, _, o in kb.triples)
+        domain, related = kb.entity_domain, {}
+        for forward, index in ((True, kb.forward), (False, kb.backward)):
+            for p, pairs in index.items():
+                related[p, forward] = (
+                    {k: tuple(sorted(vs, key=core.value_sort_key)) for k, vs in pairs.items()},
+                    frozenset(v for vs in pairs.values() for v in vs if v not in domain),
+                )
+        rich = domain.union(*kb.backward.values())  # and every object
         return _KbFacts(
             candidates=tuple(sorted(domain, key=core.value_sort_key)),
             rich=rich,
@@ -481,16 +450,6 @@ def _sorted_in(ordered, extra):
 def _bound_name(t, scope):
     """t's name if t is a variable that scope binds, else None."""
     return t.name if type(t) is lc.Var and t.name in scope else None
-
-
-def _fails(error, message: str, t=None):
-    """A closure that raises error(message), followed by the text of t
-    when given, each time it is reached."""
-
-    def fail(env):
-        raise error(message if t is None else message + lc.format_lc(t))
-
-    return fail
 
 
 # --- random form generation ---------------------------------------------------

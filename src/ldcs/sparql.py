@@ -123,6 +123,8 @@ def _superlative_root(em: _Emitter, u: Superlative) -> None:
     em.depth += 1
     _group(em, u.source, subj_in)
     em.emit(f"{subj_in} {em.iri(degree.name)} {deg_in} .")
+    # A value that is no number is no degree (SPARQL 1.1, 17.4.2.4).
+    em.emit(f"FILTER(isNumeric({deg_in}))")
     em.depth -= 1
     em.emit("}")
     em.depth -= 1

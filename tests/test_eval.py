@@ -27,6 +27,7 @@ from ldcs import (
     degree_of,
     eval_binary,
     eval_unary,
+    format_unary,
     from_triples,
     lc_eval,
     parse_unary,
@@ -125,6 +126,50 @@ def test_eval_env_and_unbound(kb):
         eval_unary(Mu("y", Intersect(Join(Property("Border"), y), z)), kb, {"y": CA})
     with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
         eval_binary(Lambda("y", Union(y, z)), kb)
+
+
+_EMPTY_KB = from_triples([])
+
+
+@pytest.mark.parametrize("u, world", [
+    (Union(Var("z"), EntityLit(SEA)), None),
+    # Nothing reaches z: no entity to bind, a join from no value, a
+    # superlative of no member.
+    (Mu("x", Intersect(Var("x"), Var("z"))), _EMPTY_KB),
+    (Join(Lambda("y", Union(Var("y"), Var("z"))), EntityLit(Entity("Nowhere"))), None),
+    (Aggregate("count", Mu("x", Intersect(Var("x"), Var("z")))), _EMPTY_KB),
+    (Superlative("argmax", Join(Property("Nope"), EntityLit(SEA)),
+                 Lambda("y", Join(Property("Area"), Var("z")))), None),
+])
+def test_an_unbound_variable_raises_whether_reached_or_not(kb, u, world):
+    # The compile walk raises it, before anything runs, whatever the KB.
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        eval_unary(u, kb if world is None else world)
+
+
+_Z, _W = Var("z"), Var("w")
+
+
+@pytest.mark.parametrize("u", [
+    Intersect(_Z, _W),
+    Union(_Z, Negate(_W)),
+    Intersect(Negate(_Z), _W),
+    Join(Lambda("y", _Z), _W),
+    Join(Reverse(Lambda("y", _Z)), _W),
+    Superlative("argmax", _Z, Lambda("y", _W)),
+    Mu("x", Union(Var("x"), Intersect(_Z, Aggregate("count", _W)))),
+])
+def test_the_leftmost_unbound_variable_names_the_error(kb, u):
+    text = format_unary(u)
+    assert text.index("z") < text.index("w")
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        eval_unary(u, kb)
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        eval_binary(Lambda("y", u), kb)
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        eval_binary(Reverse(Lambda("y", u)), kb)
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        degree_of(CA, Lambda("y", u), kb)
 
 
 @pytest.mark.parametrize("text", [

@@ -1,13 +1,16 @@
 """Lambda-term AST: printing, parsing, well-formedness, alpha-equivalence."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ldcs import (
     GenSchema,
+    IllTyped,
     alpha_eq,
     format_lc,
     gen_term,
+    lc_eval,
+    load_kb,
     parse_lc,
     parse_unary,
     resolve,
@@ -148,19 +151,76 @@ def test_binder_scope_is_maximal():
 
 
 def test_well_formed_rejects_bad_shapes():
-    assert not well_formed(Pred("P", And(Var("x"), Var("y")), Var("z")))
-    assert not well_formed(Eq(Var("x"), Lam("y", Pred("P", Var("y"), Var("x")))))
-    assert not well_formed(CountApp(Var("x")))
-    assert not well_formed(
-        SupApp("argmax", Lam("x", Pred("P", Var("x"), Var("x"))), Var("d"))
-    )
-    assert well_formed(
-        In(Var("x"), SupApp(
-            "argmax",
-            Lam("y", Pred("P", Var("y"), Var("y"))),
-            Lam("s", Lam("d", Pred("A", Var("s"), Var("d")))),
-        ))
-    )
+    x = Var("x")
+    p_xx = Pred("P", x, x)
+    assert not well_formed(Lam("x", Pred("P", And(x, Var("y")), x)))
+    assert not well_formed(Lam("x", Eq(x, Lam("y", Pred("P", Var("y"), x)))))
+    assert not well_formed(Lam("x", Eq(x, CountApp(x))))
+    assert not well_formed(Lam("x", In(x, SupApp("argmax", Lam("x", p_xx), Var("d")))))
+    assert well_formed(Lam("x", In(x, SupApp(
+        "argmax",
+        Lam("y", Pred("P", Var("y"), Var("y"))),
+        Lam("s", Lam("d", Pred("A", Var("s"), Var("d")))),
+    ))))
+    # Only a one- or two-argument lambda of a formula denotes a set.
+    assert not well_formed(p_xx)
+    assert not well_formed(Lam("x", x))
+    assert not well_formed(Lam("x", Lam("y", Lam("z", p_xx))))
+    assert well_formed(Lam("x", Lam("y", p_xx)))
+    # `in` takes a superlative application, and a predicate a count.
+    assert not well_formed(parse_lc("lambda x . in(x, lambda y . Type(y,City))"))
+    assert well_formed(parse_lc("lambda x . Area(x, count(lambda y . Type(y,City)))"))
+
+
+_TINY = load_kb("A\tp\tB\nB\tp\t3\nB\tq\tA\n")
+_SORTS = ("element", "formula", "set", "sup", "degree")
+
+
+@st.composite
+def _lc_terms(draw, sort, scope, depth):
+    """A term whose variables scope binds, mostly of the sort asked for;
+    one subterm in ten above the leaves is of a random sort, so that many
+    terms are ill typed."""
+    if sort == "root":  # a one- or two-argument lambda
+        sort = draw(st.sampled_from(("set", "degree")))
+    if depth > 0 and draw(st.integers(0, 9)) == 0:
+        sort = draw(st.sampled_from(_SORTS))
+    if sort == "element" and (depth <= 0 or draw(st.booleans())):
+        return draw(st.sampled_from([Var(n) for n in scope] + [Const(Entity("A")), Const(Number(3))]))
+    sub = lambda sort, extra=(): _lc_terms(sort, scope + extra, depth - 1)  # noqa: E731
+    if sort == "element":
+        return CountApp(draw(sub("set")))
+    if sort in ("set", "degree"):
+        var = draw(st.sampled_from("xyz"))
+        return Lam(var, draw(sub("formula" if sort == "set" else "set", (var,))))
+    if sort == "sup":
+        return SupApp(draw(st.sampled_from(("argmax", "argmin"))), draw(sub("set")), draw(sub("degree")))
+    kinds = ("pred", "eq", "and", "or", "not", "exists", "in")
+    kind = draw(st.sampled_from(kinds if depth > 0 else kinds[:2]))
+    if kind == "pred":
+        return Pred(draw(st.sampled_from("pq")), draw(sub("element")), draw(sub("element")))
+    if kind == "eq":
+        return Eq(draw(sub("element")), draw(sub("element")))
+    if kind in ("and", "or"):
+        return (And if kind == "and" else Or)(draw(sub("formula")), draw(sub("formula")))
+    if kind == "not":
+        return Not(draw(sub("formula")))
+    if kind == "exists":
+        var = draw(st.sampled_from("xyz"))
+        return Exists(var, draw(sub("formula", (var,))))
+    return In(draw(sub("element")), draw(sub("sup")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lc_terms("root", (), 4))
+def test_well_formed_is_what_lc_eval_accepts(term):
+    try:
+        lc_eval(term, _TINY)
+    except IllTyped:
+        accepted = False
+    else:
+        accepted = True
+    assert well_formed(term) == accepted
 
 
 def test_superlative_op_checked():

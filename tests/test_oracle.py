@@ -50,11 +50,13 @@ def test_lc_eval_negation_stays_in_domain(kb):
 def test_lc_eval_constants_extend_the_domain(kb):
     got = lc_eval(parse_lc("lambda x . [x = Reykjavik]"), kb)
     assert got == {Entity("Reykjavik")}
-    # Wherever they stand: in a predicate, or in an ill-typed subterm that
-    # is never reached.
-    for text in ("lambda x . !Area(x,99)",
-                 "lambda x . !Type(x,Planet) || in(x, lambda y . [y = 99])"):
+    # Wherever they stand: in a predicate, or in a disjunct that is never
+    # reached.
+    for text in ("lambda x . !Area(x,99)", "lambda x . !Type(x,Planet) || Area(x,99)"):
         assert Number(99) in lc_eval(parse_lc(text), kb)
+    # An ill-typed subterm raises whether it is reached or not.
+    with pytest.raises(IllTyped, match=r"^not a superlative application: lambda y \. \[y = 99\]$"):
+        lc_eval(parse_lc("lambda x . !Type(x,Planet) || in(x, lambda y . [y = 99])"), kb)
 
 
 def test_lc_eval_count(kb):
@@ -230,10 +232,67 @@ _PLANET = lc.Pred("Type", lc.Var("x"), lc.Const(Entity("Planet")))
      IllTyped, "expected a one-argument lambda term"),
 ])
 def test_lc_eval_errors_only_where_reached(kb, bad, error, message):
-    # Behind a conjunct no value satisfies, the bad subterm is never reached.
-    assert lc_eval(lc.Lam("x", lc.And(_PLANET, bad)), kb) == frozenset()
+    # Errors are raised while the term compiles, so a bad subterm raises
+    # the same error wherever it stands: behind a conjunct some value
+    # satisfies, behind one no value satisfies, inside an existential with
+    # no witness, and inside a count.
+    y_planet = lc.Pred("Type", _Y, lc.Const(Entity("Planet")))
+    for formula in (
+        lc.And(_CITY, bad),
+        lc.And(_PLANET, bad),
+        lc.Exists("y", lc.And(y_planet, bad)),
+        lc.Eq(lc.Var("x"), lc.CountApp(lc.Lam("y", lc.And(y_planet, bad)))),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            lc_eval(lc.Lam("x", formula), kb)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("Type(z,City) & in(x, lambda y . Type(y,City))", UnboundVariable, "unbound variable: z"),
+    ("in(x, lambda y . Type(y,City)) & Type(z,City)", IllTyped,
+     "not a superlative application: lambda y . Type(y,City)"),
+    ("[x = count(lambda y . Children(w,y))] || [count(lambda y . Children(z,y)) = x]",
+     UnboundVariable, "unbound variable: w"),
+    # The count widens the domain of x, but comes later in the text.
+    ("Type(w,City) || [x = count(lambda y . in(y, lambda q . [q = y]))]", UnboundVariable,
+     "unbound variable: w"),
+    ("!(exists y . Children(y,w) & Children(z,y))", UnboundVariable, "unbound variable: w"),
+    ("in(w, argmax(lambda y . [y = z], lambda s . lambda d . Area(s,d)))", UnboundVariable,
+     "unbound variable: w"),
+    ("in(x, argmax(lambda y . [y = z], lambda s . lambda d . Area(w,d)))", UnboundVariable,
+     "unbound variable: z"),
+    ("in(x, argmax(lambda y . [y = x], lambda s . lambda d . Area(w,d) & [z = d]))",
+     UnboundVariable, "unbound variable: w"),
+])
+def test_lc_eval_the_leftmost_bad_subterm_names_the_error(kb, text, error, message):
+    # Parsed in a scope that binds x, so that w and z are unbound variables
+    # and not entity constants.
+    body = parse_lc(f"lambda w . lambda z . lambda x . {text}").body.body
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        lc_eval(lc.Lam("x", lc.And(_CITY, bad)), kb)
+        lc_eval(body, kb)
+
+
+def test_whether_a_term_raises_does_not_follow_the_kb(kb):
+    planets = load_kb("Mars\tType\tPlanet\n")
+    empty = load_kb("")
+    term = parse_lc("lambda x . Type(x,Planet) & in(x, lambda y . [y = x])")
+    for world in (kb, planets, empty):
+        with pytest.raises(IllTyped, match=r"^not a superlative application: lambda y \. \[y = x\]$"):
+            lc_eval(term, world)
+    for world in (kb, planets, empty):
+        with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+            eval_unary(core.Mu("x", core.Intersect(core.Var("x"), core.Var("z"))), world)
+        with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+            eval_unary(core.Join(core.Lambda("y", core.Var("z")), core.Var("w")), world)
+
+
+def test_the_enumeration_reads_the_index_and_no_triple_set(kb):
+    fresh = load_kb(dump_kb(kb))
+    assert check_equivalence(fresh, 30, 4, seed=3).ok
+    assert lc_eval(parse_lc("lambda x . lambda y . Border(x,y) || Area(x,y)"), fresh)
+    assert _names(lc_eval(parse_lc("lambda x . exists y . Children(x,y)"), fresh)) == {
+        "Dave", "Eve"}
+    assert "triples" not in vars(fresh)
 
 
 _COUNT_SEATTLE = lc.Eq(lc.Var("x"), parse_lc("count(Seattle)"))
@@ -243,38 +302,40 @@ _COUNT_ILL_TYPED = lc.Eq(lc.Var("x"), _ILL_TYPED_COUNT)
 
 
 def test_lc_eval_count_widening_reaches_what_the_formula_does_not(kb):
-    # The domain is widened with every count subterm whose free variables
-    # are bound, before any candidate is tried: an ill-typed one raises
-    # even behind a false conjunct, and one with an unbound variable is
-    # left out.
+    # The domain is widened with the value of every count subterm whose
+    # free variables are bound, also where the formula never reads it.
+    term = parse_lc("lambda x . !Type(x,Planet) || [x = count(lambda y . Type(y,USState))]")
+    assert Number(3) in lc_eval(term, kb)
+    # An ill-typed count raises behind a false conjunct too, and of two
+    # bad subterms the leftmost in the text names the error.
     for formula, message in [
         (_COUNT_SEATTLE, "expected a one-argument lambda term"),
-        # Counts run in `core.subterms` order, the later one in the text first.
-        (lc.And(_COUNT_SEATTLE, _COUNT_ILL_TYPED),
+        (lc.And(_COUNT_SEATTLE, _COUNT_ILL_TYPED), "expected a one-argument lambda term"),
+        (lc.And(_COUNT_ILL_TYPED, _COUNT_SEATTLE),
          "not an element term: lambda q . Type(q,City)"),
-        (lc.And(_COUNT_ILL_TYPED, _COUNT_SEATTLE), "expected a one-argument lambda term"),
-        # A count inside an ill-typed subterm widens the domain too.
+        # A bad node comes before the bad subterms inside it.
         (parse_lc("lambda x . in(x, lambda y . [y = count(Seattle)])").body,
-         "expected a one-argument lambda term"),
+         "not a superlative application: lambda y . [y = count(Seattle)]"),
         (lc.Not(_COUNT_SEATTLE), "expected a one-argument lambda term"),
-        # A count comes before those inside it.
+        # A count's set is checked before the subterms inside it.
         (lc.Eq(lc.Var("x"), lc.CountApp(
             lc.Lam("y", lc.Lam("z", lc.Eq(lc.Var("z"), _ILL_TYPED_COUNT))))),
          "expected a one-argument lambda term"),
-        # A superlative's degree comes before its set, and a membership's
-        # set before its element.
+        # A superlative's set comes before its degree, and a membership's
+        # element before its set.
         (lc.In(lc.Var("x"), lc.SupApp(
             "argmax", parse_lc("lambda y . [y = count(Seattle)]"),
             lc.Lam("s", lc.Lam("d", lc.Eq(lc.Var("d"), _ILL_TYPED_COUNT))))),
-         "not an element term: lambda q . Type(q,City)"),
+         "expected a one-argument lambda term"),
         (lc.In(parse_lc("count(Seattle)"), lc.Lam("y", lc.Eq(lc.Var("y"), _ILL_TYPED_COUNT))),
-         "not an element term: lambda q . Type(q,City)"),
+         "expected a one-argument lambda term"),
     ]:
         with pytest.raises(IllTyped, match=f"^{re.escape(message)}$"):
             lc_eval(lc.Lam("x", lc.And(_PLANET, formula)), kb)
     unbound = lc.CountApp(lc.Lam("c", lc.Pred("Children", lc.Var("z"), lc.Var("c"))))
     term = lc.Lam("x", lc.And(_PLANET, lc.Eq(lc.Var("x"), unbound)))
-    assert lc_eval(term, kb) == frozenset()
+    with pytest.raises(UnboundVariable, match="^unbound variable: z$"):
+        lc_eval(term, kb)
 
 
 _SELF = "A\tp\tB\nC\tp\tC\n"  # p relates C, the last in value order, to itself
@@ -317,8 +378,8 @@ _SELF = "A\tp\tB\nC\tp\tC\n"  # p relates C, the last in value order, to itself
     (None, "lambda x . exists y . [x = y] & Type(y,City)", {"Portland", "Seattle"}),
     (None, "lambda x . exists y . Nope(x,y)", set()),
     (None, "lambda x . exists y . [y = Reykjavik] & [x = y]", {"Reykjavik"}),
-    # A later conjunct that would raise is reached by no witness.
-    (None, "lambda x . exists y . Children(x,y) & (Type(y,Person) || in(y, lambda z . [z = y]))",
+    # A later disjunct that no witness reaches.
+    (None, "lambda x . exists y . Children(x,y) & (Type(y,Person) || Area(y,y))",
      {"Dave", "Eve"}),
 ])
 def test_lc_eval_existential_witnesses(kb, kb_text, text, expected):
@@ -454,12 +515,12 @@ _D_NOT_A_SUPERLATIVE = parse_lc("lambda d . in(d, lambda z . [z = d])").body
 
 
 @pytest.mark.parametrize("term, error, message", [
-    # An anchor count that raises raises before any candidate is tried,
-    # and the other counts of the body still run first in their order.
+    # A bad anchor count raises while the term compiles, and of two bad
+    # subterms the leftmost in the text names the error.
     (lc.Lam("x", lc.And(_COUNT_SEATTLE, _CITY)), IllTyped, "expected a one-argument lambda term"),
-    (lc.Lam("x", lc.And(_COUNT_SEATTLE, _COUNT_ILL_TYPED)), IllTyped,
-     "not an element term: lambda q . Type(q,City)"),
     (lc.Lam("x", lc.And(_COUNT_ILL_TYPED, _COUNT_SEATTLE)), IllTyped,
+     "not an element term: lambda q . Type(q,City)"),
+    (lc.Lam("x", lc.And(_COUNT_SEATTLE, _COUNT_ILL_TYPED)), IllTyped,
      "expected a one-argument lambda term"),
     (parse_lc("lambda x . [x = count(lambda y . Type(y,City))] & in(x, lambda z . [z = x])"),
      IllTyped, "not a superlative application: lambda z . [z = x]"),
@@ -664,10 +725,11 @@ from ldcs import Entity, LdcsError, lc, lc_eval, load_kb_file
 padding = [Entity(f"pad{i}") for i in range(int(sys.argv[2]))]
 x, s, z = lc.Var("x"), lc.Var("s"), lc.Var("z")
 person, seattle = lc.Const(Entity("Person")), lc.Const(Entity("Seattle"))
-# Person reaches one error and Seattle another; the least tried first wins.
+# Seattle would reach the unbound z, and Person, the first in value order,
+# the later ill-typed Seattle.
 either = lc.Or(
-    lc.And(lc.Eq(s, person), seattle),
     lc.And(lc.Eq(s, seattle), lc.Pred("Type", s, z)),
+    lc.And(lc.Eq(s, person), seattle),
 )
 both = lc.Lam("y", lc.Or(lc.Eq(lc.Var("y"), person), lc.Eq(lc.Var("y"), seattle)))
 cities = lc.Lam("y", lc.Pred("Type", lc.Var("y"), lc.Const(Entity("City"))))
@@ -687,10 +749,11 @@ for term in terms:
 
 
 def test_the_error_does_not_follow_set_order():
-    # A candidate of a one-argument lambda, or a member of a superlative's
-    # set, that reaches an error raises it: candidates and members are
-    # tried in value order, whatever the addresses of interned values
-    # (which put Person before or after Seattle in a set, run by run).
+    # Of two bad subterms the leftmost in the text names the error, raised
+    # while the term compiles: no candidate of a one-argument lambda and no
+    # member of a superlative's set is tried, so neither value order nor
+    # the addresses of interned values (which put Person before or after
+    # Seattle in a set, run by run) can pick another.
     root = pathlib.Path(__file__).resolve().parent.parent
     fixture, src = root / "fixtures" / "demo.tsv", str(root / "src")
     outputs = set()
@@ -701,4 +764,4 @@ def test_the_error_does_not_follow_set_order():
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         outputs.add(proc.stdout)
-    assert outputs == {"IllTyped not a formula: Seattle\n" * 3}
+    assert outputs == {"UnboundVariable unbound variable: z\n" * 3}
